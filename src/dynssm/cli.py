@@ -90,16 +90,17 @@ def build_parser() -> _Parser:
 
 
 def _pin_threads(argv: list[str]) -> None:
-    # Must happen before numpy is imported anywhere in this process.
-    threads = None
+    # Must happen before numpy is imported anywhere in this process. Without
+    # --threads, pin to the default that config.resolved records.
+    from .config import default_config
+    threads = default_config()["threads"]
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif a.startswith("--threads="):
             threads = a.split("=", 1)[1]
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(threads)
 
 
 def _resolve(args) -> dict:

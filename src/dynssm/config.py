@@ -73,7 +73,6 @@ _PROFILES = {
 _TOP_DEFAULTS = {
     "seed": 0,
     "threads": 1,
-    "backend": "sequential",
     "variant": "full",
     "profile": "desk",
 }

@@ -210,7 +210,7 @@ class _MambaBackbone:
     def __init__(self, rng: CounterRng, d_in: int, d_h: int, blocks: int):
         self.params = sm.SsmParams.create(rng, d_in=d_in, d_h=d_h, block_count=blocks)
 
-    def forward(self, x: Tensor, backend: str = "sequential") -> Tensor:
+    def forward(self, x: Tensor, backend: str = "parallel") -> Tensor:
         return sm.ssm_forward(x, self.params, backend=backend)
 
     def named_params(self, prefix: str = "temporal") -> dict:
@@ -264,7 +264,7 @@ class BrainSequenceClassifier:
     # --- forward ---
 
     def forward(self, values: np.ndarray, training: bool = False,
-                rng: Optional[CounterRng] = None, backend: str = "sequential") -> Tensor:
+                rng: Optional[CounterRng] = None, backend: str = "parallel") -> Tensor:
         cfg = self.cfg
         brain = None
         if self.uses_brain:

@@ -1,17 +1,19 @@
-"""Input-selective state-space sequence model with two scan backends.
+"""Input-selective state-space sequence model on one chunked scan.
 
 The recurrence is s_t = A_t * s_{t-1} + B_t x_t with s_0 = 0, where the
 diagonal transition A_t and the input projection are deterministic functions
-of the current input (softplus-gated timescale, exponential decay). The
-sequential backend is the reference and carries the gradient path; the
-parallel backend computes the same prefix composition with a work-efficient
-chunked up-sweep/down-sweep and is used for inference and benchmarks.
+of the current input (softplus-gated timescale, exponential decay). The model
+evaluates it with ``tensor.selective_scan``, one chunked scan that is
+differentiable and takes about 2*sqrt(T) vectorised steps forward and
+backward. The "parallel" backend is the default and uses the scan's default
+chunk; the "sequential" backend runs the same op as a single chunk, the plain
+left-to-right order, and is kept as the reference. ``scan_sequential`` is the
+plain first-block loop that the tests and the benchmark compare against.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,45 +93,30 @@ class SsmStateSeq:
     states: np.ndarray   # (T, d_h)
 
 
-def make_selective_params(x_t: Tensor, block: SsmBlockParams) -> tuple[Tensor, Tensor]:
-    """Per-step transition diagonal and input matrix from one input vector.
+def selective_rates(x_seq: Tensor, block: SsmBlockParams) -> tuple[Tensor, Tensor]:
+    """Vectorized (A_t, B_t x_t) for a whole sequence: both (T, d_h).
 
-    A[k] = exp(-softplus(<w_delta[k], x> + delta_bias[k]) * softplus(a[k])),
-    strictly inside (0,1); B is the base projection scaled per row by the
+    A_t[k] = exp(-softplus(<w_delta[k], x_t> + delta_bias[k]) * softplus(a[k])),
+    strictly inside (0,1); B_t is the base projection scaled per row by the
     same softplus timescale. Deterministic given (x_t, block).
     """
-    if x_t.ndim != 1:
-        raise ShapeError(f"make_selective_params expects a vector, got shape {x_t.shape}")
-    delta = tt.softplus(tt.matmul(block.w_delta, x_t) + block.delta_bias)
-    a_diag = tt.exp(-(delta * tt.softplus(block.a)))
-    b_t = tt.mul(block.w_b.T, delta).T
-    return a_diag, b_t
-
-
-def selective_rates(x_seq: Tensor, block: SsmBlockParams) -> tuple[Tensor, Tensor]:
-    """Vectorized (A_t, B_t x_t) for a whole sequence: both (T, d_h)."""
     delta = tt.softplus(tt.linear(x_seq, block.w_delta, block.delta_bias))
     a_seq = tt.exp(-(delta * tt.softplus(block.a)))
     bx_seq = delta * tt.linear(x_seq, block.w_b)
     return a_seq, bx_seq
 
 
-def _rates_np(x_seq: np.ndarray, block: SsmBlockParams) -> tuple[np.ndarray, np.ndarray]:
-    def sp(v):
-        return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
-    delta = sp(x_seq @ block.w_delta.data.T + block.delta_bias.data)
-    a_seq = np.exp(-delta * sp(block.a.data))
-    bx_seq = delta * (x_seq @ block.w_b.data.T)
-    return a_seq, bx_seq
+def _first_block_rates(x_seq: np.ndarray, params: SsmParams) -> tuple[Tensor, Tensor]:
+    x_seq = np.asarray(x_seq, dtype=np.float64)
+    if x_seq.ndim != 2 or x_seq.shape[0] < 1:
+        raise ShapeError(f"scan expects (T, d_in) with T >= 1, got shape {x_seq.shape}")
+    return selective_rates(Tensor(x_seq), params.blocks[0])
 
 
 def scan_sequential(x_seq: np.ndarray, params: SsmParams) -> SsmStateSeq:
     """Reference backend: first-block recurrence evaluated left to right."""
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    if x_seq.ndim != 2 or x_seq.shape[0] < 1:
-        raise ShapeError(f"scan expects (T, d_in) with T >= 1, got shape {x_seq.shape}")
-    a_seq, bx_seq = _rates_np(x_seq, params.blocks[0])
-    return SsmStateSeq(states=_scan_loop(a_seq, bx_seq))
+    a_seq, bx_seq = _first_block_rates(x_seq, params)
+    return SsmStateSeq(states=_scan_loop(a_seq.data, bx_seq.data))
 
 
 def _scan_loop(a_seq: np.ndarray, bx_seq: np.ndarray) -> np.ndarray:
@@ -142,14 +129,10 @@ def _scan_loop(a_seq: np.ndarray, bx_seq: np.ndarray) -> np.ndarray:
     return states
 
 
-def scan_parallel(x_seq: np.ndarray, params: SsmParams,
-                  chunk_size: int = 64, workers: int = 1) -> SsmStateSeq:
-    """Prefix-scan backend; matches scan_sequential within 1e-8 relative."""
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    if x_seq.ndim != 2 or x_seq.shape[0] < 1:
-        raise ShapeError(f"scan expects (T, d_in) with T >= 1, got shape {x_seq.shape}")
-    a_seq, bx_seq = _rates_np(x_seq, params.blocks[0])
-    return SsmStateSeq(states=_scan_blelloch(a_seq, bx_seq, chunk_size, workers))
+def scan_parallel(x_seq: np.ndarray, params: SsmParams) -> SsmStateSeq:
+    """Chunked-scan backend; matches scan_sequential within 1e-8 relative."""
+    a_seq, bx_seq = _first_block_rates(x_seq, params)
+    return SsmStateSeq(states=tt.selective_scan(a_seq, bx_seq).data)
 
 
 def compose(later: tuple[np.ndarray, np.ndarray],
@@ -164,90 +147,22 @@ def compose(later: tuple[np.ndarray, np.ndarray],
     return a2 * a1, a2 * b1 + b2
 
 
-def _local_scan(a: np.ndarray, b: np.ndarray) -> None:
-    # In-place inclusive scan along axis 1 of (chunks, C, d) arrays.
-    for i in range(1, a.shape[1]):
-        b[:, i] += a[:, i] * b[:, i - 1]
-        a[:, i] *= a[:, i - 1]
-
-
-def _scan_blelloch(a_seq: np.ndarray, bx_seq: np.ndarray,
-                   chunk_size: int, workers: int) -> np.ndarray:
-    T, d = a_seq.shape
-    nc = (T + chunk_size - 1) // chunk_size
-    padded = nc * chunk_size
-    a = np.ones((padded, d), dtype=a_seq.dtype)
-    b = np.zeros((padded, d), dtype=a_seq.dtype)
-    a[:T] = a_seq
-    b[:T] = bx_seq
-    a = a.reshape(nc, chunk_size, d)
-    b = b.reshape(nc, chunk_size, d)
-
-    # Pass 1: inclusive scan inside every chunk. Chunks are independent, so
-    # splitting them across workers cannot change any result.
-    if workers > 1 and nc > 1:
-        bounds = np.linspace(0, nc, min(workers, nc) + 1).astype(int)
-        slabs = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda sl: _local_scan(a[sl], b[sl]), slabs))
-    else:
-        _local_scan(a, b)
-
-    # Pass 2: Blelloch up-sweep/down-sweep over the per-chunk summaries,
-    # giving each chunk the composition of everything before it.
-    m = 1 << max(0, (nc - 1).bit_length())
-    ca = np.ones((m, d), dtype=a_seq.dtype)
-    cb = np.zeros((m, d), dtype=a_seq.dtype)
-    ca[:nc] = a[:, -1]
-    cb[:nc] = b[:, -1]
-    step = 2
-    while step <= m:
-        ks = np.arange(step - 1, m, step)
-        prev = ks - step // 2
-        cb[ks] = ca[ks] * cb[prev] + cb[ks]
-        ca[ks] = ca[ks] * ca[prev]
-        step *= 2
-    ca[m - 1] = 1.0
-    cb[m - 1] = 0.0
-    step = m
-    while step >= 2:
-        ks = np.arange(step - 1, m, step)
-        prev = ks - step // 2
-        ta, tb = ca[prev].copy(), cb[prev].copy()
-        ca[prev], cb[prev] = ca[ks], cb[ks]
-        cb[ks] = ta * cb[ks] + tb
-        ca[ks] = ta * ca[ks]
-        step //= 2
-
-    # Pass 3: apply each chunk's exclusive prefix to its local results.
-    # s = A_local * b_prefix + b_local (prefix applied to s_0 = 0).
-    states = a * cb[:nc, None, :] + b
-    return states.reshape(padded, d)[:T]
-
-
-def ssm_forward(x_seq: Tensor, params: SsmParams, backend: str = "sequential") -> Tensor:
+def ssm_forward(x_seq: Tensor, params: SsmParams, backend: str = "parallel") -> Tensor:
     """Stacked selective-SSM blocks with residual connections and a readout.
 
-    Returns the (T, d_h) state-feature sequence. The sequential backend runs
-    on the tape and is the only differentiable path; the parallel backend is
-    inference-only and numerically equivalent.
+    Returns the (T, d_h) state-feature sequence. Both backends run the
+    differentiable chunked scan on the tape: "parallel" (the default) with
+    its default chunk of about sqrt(T) steps, and "sequential" with one chunk
+    of T steps, the reference left-to-right order. They agree within 1e-8.
     """
-    if backend == "sequential":
-        u = x_seq
-        states = None
-        for i, blk in enumerate(params.blocks):
-            a_seq, bx_seq = selective_rates(u, blk)
-            states = tt.selective_scan(a_seq, bx_seq)
-            if i < len(params.blocks) - 1:
-                u = u + tt.linear(states, blk.w_mix, blk.b_mix)
-        return tt.linear(states, params.w_out, params.b_out)
-    if backend == "parallel":
-        u = np.asarray(x_seq.data if isinstance(x_seq, Tensor) else x_seq, dtype=np.float64)
-        states = None
-        for i, blk in enumerate(params.blocks):
-            a_seq, bx_seq = _rates_np(u, blk)
-            states = _scan_blelloch(a_seq, bx_seq, chunk_size=64, workers=1)
-            if i < len(params.blocks) - 1:
-                u = u + states @ blk.w_mix.data.T + blk.b_mix.data
-        return Tensor._wrap(states @ params.w_out.data.T + params.b_out.data)
-    raise ConfigError(f"unknown backend {backend!r}; expected sequential or parallel")
+    if backend not in ("parallel", "sequential"):
+        raise ConfigError(f"unknown backend {backend!r}; expected sequential or parallel")
+    chunk = x_seq.shape[0] if backend == "sequential" else None
+    u = x_seq
+    states = None
+    for i, blk in enumerate(params.blocks):
+        a_seq, bx_seq = selective_rates(u, blk)
+        states = tt.selective_scan(a_seq, bx_seq, chunk=chunk)
+        if i < len(params.blocks) - 1:
+            u = u + tt.linear(states, blk.w_mix, blk.b_mix)
+    return tt.linear(states, params.w_out, params.b_out)

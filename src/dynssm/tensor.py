@@ -381,26 +381,22 @@ def log(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), computed without overflow
     x = a.data
-    val = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    out = Tensor._wrap(val)
+    e = np.exp(-np.abs(x))
+    out = Tensor._wrap(np.maximum(x, 0.0) + np.log1p(e))
     tape = _recording(a)
     if tape is not None:
-        s = _sigmoid_np(x)
+        s = _sigmoid_np(x, e)
         tape._record(out, (a,), lambda g: (g * s,))
     return out
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    z[~pos] = ex / (1.0 + ex)
-    return z
+def _sigmoid_np(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, given e = exp(-|x|)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
+    s = _sigmoid_np(a.data, np.exp(-np.abs(a.data)))
     out = Tensor._wrap(s)
     tape = _recording(a)
     if tape is not None:
@@ -765,37 +761,70 @@ def scaled_self_outer(h: Tensor) -> Tensor:
     return out
 
 
-def selective_scan(a_seq: Tensor, b_seq: Tensor) -> Tensor:
-    """Linear recurrence s_t = a_t * s_{t-1} + b_t with s_0 = 0, left to right.
+def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
+    """Inclusive scan s_t = a_t * s_{t-1} + b_t from s_{-1} = 0 along axis 0.
 
-    Both inputs are (T, d). The hand-derived backward runs the mirrored
-    right-to-left recurrence, so gradients flow through every step.
+    The (T, d) inputs are cut into chunks of ``chunk`` steps; identity steps
+    (a = 1, b = 0) pad the last one and change no earlier state. Pass 1 scans
+    inside every chunk, vectorised across chunks; pass 2 carries the state
+    across the chunk ends; pass 3 adds each chunk's incoming state, scaled by
+    the chunk's running product of a. Chunk 0 takes no incoming state, so
+    ``chunk >= T`` performs the left-to-right loop's operations exactly.
+    """
+    T, d = a.shape
+    nc = -(-T // chunk)
+    pad = nc * chunk - T
+    if pad:
+        a = np.concatenate([a, np.ones((pad, d), dtype=a.dtype)])
+        b = np.concatenate([b, np.zeros((pad, d), dtype=b.dtype)])
+    # (chunk, nc, d): step i of every chunk is one contiguous row block
+    a = a.reshape(nc, chunk, d).transpose(1, 0, 2).copy()
+    s = b.reshape(nc, chunk, d).transpose(1, 0, 2).copy()
+    s[0] += a[0] * 0.0   # the loop's first step from a zero state, signed zeros included
+    for i in range(1, chunk):
+        s[i] += a[i] * s[i - 1]
+        if nc > 1:
+            a[i] *= a[i - 1]   # running product of a over steps 0..i of each chunk
+    if nc > 1:
+        incoming = np.empty((nc - 1, d), dtype=s.dtype)
+        incoming[0] = s[-1, 0]
+        for k in range(1, nc - 1):
+            incoming[k] = a[-1, k] * incoming[k - 1] + s[-1, k]
+        s[:, 1:] += a[:, 1:] * incoming
+    return s.transpose(1, 0, 2).reshape(nc * chunk, d)[:T]
+
+
+def selective_scan(a_seq: Tensor, b_seq: Tensor, chunk: Optional[int] = None) -> Tensor:
+    """Linear recurrence s_t = a_t * s_{t-1} + b_t with s_0 = 0.
+
+    Both inputs are (T, d). The scan runs in chunks of ``chunk`` steps,
+    isqrt(T) by default, so it takes about 2*sqrt(T) vectorised steps. The
+    backward pass is the mirrored recurrence c_t = g_t + a_{t+1} c_{t+1}, run
+    through the same chunked scan on flipped inputs. ``chunk=T`` evaluates
+    both directions in plain step order.
     """
     if a_seq.shape != b_seq.shape or a_seq.ndim != 2:
         raise ShapeError(f"selective_scan expects matching (T,d) inputs, "
                          f"got {a_seq.shape} and {b_seq.shape}")
-    T, d = a_seq.shape
-    ad, bd = a_seq.data, b_seq.data
-    states = np.empty((T, d), dtype=ad.dtype)
-    s = np.zeros(d, dtype=ad.dtype)
-    for t in range(T):
-        s = ad[t] * s + bd[t]
-        states[t] = s
+    if chunk is not None and chunk < 1:
+        raise ConfigError(f"scan chunk must be at least 1, got {chunk}")
+    T = a_seq.shape[0]
+    chunk = max(1, min(math.isqrt(T) if chunk is None else chunk, T))
+    ad = a_seq.data
+    states = _chunked_scan(ad, b_seq.data, chunk)
     out = Tensor._wrap(states)
     tape = _recording(a_seq, b_seq)
     if tape is not None:
-        saved = states.copy()
         def vjp(g):
-            ga = np.zeros((T, d), dtype=g.dtype) if a_seq.requires_grad else None
-            gb = np.empty((T, d), dtype=g.dtype) if b_seq.requires_grad else None
-            c = np.zeros(d, dtype=g.dtype)
-            for t in range(T - 1, -1, -1):
-                c = g[t] + (ad[t + 1] * c if t + 1 < T else 0.0)
-                if gb is not None:
-                    gb[t] = c
-                if ga is not None and t > 0:
-                    ga[t] = c * saved[t - 1]
-            return (ga, gb)
+            a_next = np.empty_like(ad)
+            a_next[:-1] = ad[1:]
+            a_next[-1:] = 0.0
+            c = _chunked_scan(a_next[::-1], g[::-1], chunk)[::-1]
+            ga = None
+            if a_seq.requires_grad:
+                ga = np.zeros_like(c)
+                ga[1:] = c[1:] * states[:-1]
+            return (ga, c if b_seq.requires_grad else None)
         tape._record(out, (a_seq, b_seq), vjp)
     return out
 

@@ -2,10 +2,11 @@
 
 import filecmp
 import json
+import os
 
 import pytest
 
-from dynssm.cli import main
+from dynssm.cli import _pin_threads, main
 from dynssm.config import apply_override, default_config, resolve_config
 from dynssm.errors import ConfigError
 
@@ -25,6 +26,8 @@ class TestConfigLayers:
         cfg = default_config()
         with pytest.raises(ConfigError):
             apply_override(cfg, "model.nope=1")
+        with pytest.raises(ConfigError, match="backend"):
+            apply_override(cfg, "backend=parallel")
 
     def test_override_wins_over_file(self, tmp_path):
         path = tmp_path / "c.json"
@@ -47,6 +50,24 @@ class TestConfigLayers:
         assert cfg["model"]["attention_enabled"] is False
         apply_override(cfg, "train.learning_rate=0.005")
         assert cfg["train"]["learning_rate"] == 0.005
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreadPinning:
+    def test_default_pins_what_config_records(self, monkeypatch):
+        for var in THREAD_VARS:   # monkeypatch restores the environment afterwards
+            monkeypatch.delenv(var, raising=False)
+        _pin_threads([])
+        recorded = str(default_config()["threads"])
+        assert [os.environ.get(var) for var in THREAD_VARS] == [recorded] * 3
+
+    def test_flag_wins(self, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "7")
+        _pin_threads(["train", "--threads", "2"])
+        assert [os.environ.get(var) for var in THREAD_VARS] == ["2"] * 3
 
 
 class TestExitCodes:

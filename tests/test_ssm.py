@@ -9,7 +9,8 @@ from dynssm import ssm as sm
 from dynssm import tensor as tt
 from dynssm.errors import ConfigError, ShapeError
 from dynssm.rng import CounterRng
-from dynssm.tensor import Tensor, finite_diff_check
+from dynssm.tensor import Tape, Tensor, finite_diff_check
+from test_tensor import loop_scan, loop_scan_op, loop_scan_vjp, scan_with_grads
 
 
 def make_params(seed=0, d_in=8, d_h=12, blocks=2):
@@ -20,20 +21,25 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12))
 
 
+def rates(x, block):
+    a_seq, bx_seq = sm.selective_rates(Tensor(x), block)
+    return a_seq.data, bx_seq.data
+
+
 class TestSelectiveParams:
     def test_zero_input_determinism(self):
         p = make_params()
-        a1, b1 = sm.make_selective_params(Tensor(np.zeros(8)), p.blocks[0])
-        a2, b2 = sm.make_selective_params(Tensor(np.zeros(8)), p.blocks[0])
-        assert np.array_equal(a1.data, a2.data)
-        assert np.array_equal(b1.data, b2.data)
+        a1, b1 = rates(np.zeros((1, 8)), p.blocks[0])
+        a2, b2 = rates(np.zeros((1, 8)), p.blocks[0])
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(b1, b2)
 
     def test_large_decay_logit_saturates_to_zero(self):
         # zero input pins the timescale at softplus(0) = ln 2 for every channel
         p = make_params()
         p.blocks[0].a.data = np.full(12, 60.0)
-        a_diag, _ = sm.make_selective_params(Tensor(np.zeros(8)), p.blocks[0])
-        assert np.all(a_diag.data < 1e-10)
+        a_diag, _ = rates(np.zeros((1, 8)), p.blocks[0])
+        assert np.all(a_diag < 1e-10)
 
     def test_transition_strictly_inside_unit_interval(self):
         p = make_params()
@@ -46,15 +52,6 @@ class TestSelectiveParams:
             hi = max(hi, a_seq.data.max())
         assert 0.0 < lo and hi < 1.0
 
-    def test_matches_sequence_path(self):
-        p = make_params()
-        x = CounterRng(7).normal((5, 8))
-        a_seq, bx_seq = sm.selective_rates(Tensor(x), p.blocks[0])
-        for t in range(5):
-            a_t, b_t = sm.make_selective_params(Tensor(x[t]), p.blocks[0])
-            assert np.allclose(a_t.data, a_seq.data[t], atol=1e-15)
-            assert np.allclose(b_t.data @ x[t], bx_seq.data[t], atol=1e-12)
-
 
 class TestScanSequential:
     def test_memoryless_and_accumulator_limits(self):
@@ -62,7 +59,7 @@ class TestScanSequential:
         p = make_params(blocks=1)
         x = CounterRng(3).normal((6, 8))
         states = sm.scan_sequential(x, p).states
-        a_seq, bx_seq = sm._rates_np(x, p.blocks[0])
+        a_seq, bx_seq = rates(x, p.blocks[0])
         s = np.zeros(12)
         for t in range(6):
             s = a_seq[t] * s + bx_seq[t]
@@ -72,7 +69,7 @@ class TestScanSequential:
         p = make_params()
         T = 64
         x = CounterRng(11).normal((T, 8))
-        a_seq, bx_seq = sm._rates_np(x, p.blocks[0])
+        a_seq, bx_seq = rates(x, p.blocks[0])
         states = sm.scan_sequential(x, p).states
         ref = np.zeros((T, 12))
         for t in range(T):
@@ -93,7 +90,7 @@ class TestScanSequential:
         p = make_params()
         for seed in range(5):
             x = CounterRng(seed).normal((200, 8))
-            a_seq, bx_seq = sm._rates_np(x, p.blocks[0])
+            a_seq, bx_seq = rates(x, p.blocks[0])
             states = sm.scan_sequential(x, p).states
             bound = np.max(np.abs(bx_seq)) / (1.0 - a_seq.max())
             assert np.max(np.abs(states)) <= bound + 1e-9
@@ -109,7 +106,7 @@ class TestScanParallel:
     def test_t2_hand_composition(self):
         p = make_params()
         x = CounterRng(6).normal((2, 8))
-        a_seq, bx_seq = sm._rates_np(x, p.blocks[0])
+        a_seq, bx_seq = rates(x, p.blocks[0])
         expect = a_seq[1] * bx_seq[0] + bx_seq[1]
         par = sm.scan_parallel(x, p).states
         assert np.allclose(par[1], expect, atol=1e-12)
@@ -121,20 +118,19 @@ class TestScanParallel:
         assert rel_err(sm.scan_sequential(x, p).states,
                        sm.scan_parallel(x, p).states) < 1e-8
 
-    @pytest.mark.parametrize("chunk", [1, 3, 16, 64])
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 16, 64])
     def test_chunk_sizes_agree(self, chunk):
+        # every chunk size, shorter and longer than T, forward and backward
         p = make_params()
-        x = CounterRng(9).normal((130, 8))
-        ref = sm.scan_sequential(x, p).states
-        assert rel_err(ref, sm.scan_parallel(x, p, chunk_size=chunk).states) < 1e-8
-
-    def test_worker_count_does_not_change_bits(self):
-        p = make_params()
-        x = CounterRng(10).normal((257, 8))
-        base = sm.scan_parallel(x, p, chunk_size=16, workers=1).states
-        for workers in (2, 3, 8):
-            other = sm.scan_parallel(x, p, chunk_size=16, workers=workers).states
-            assert np.array_equal(base, other)
+        for T in list(range(1, 9)) + [130]:
+            a, b = rates(CounterRng(9).normal((T, 8)), p.blocks[0])
+            g = CounterRng(10).normal((T, 12))
+            states, ga, gb = scan_with_grads(a, b, g, chunk=chunk)
+            ref = loop_scan(a, b)
+            ref_ga, ref_gb = loop_scan_vjp(a, ref, g)
+            assert rel_err(states, ref) < 1e-8
+            assert rel_err(ga, ref_ga) < 1e-8
+            assert rel_err(gb, ref_gb) < 1e-8
 
 
 class TestAssociativity:
@@ -160,11 +156,11 @@ class TestSelectivity:
     def test_perturbation_is_causal(self):
         p = make_params(blocks=1)
         x = CounterRng(12).normal((20, 8))
-        base_rates = sm._rates_np(x, p.blocks[0])
+        base_rates = rates(x, p.blocks[0])
         base_states = sm.scan_sequential(x, p).states
         bumped = x.copy()
         bumped[10] += 0.5
-        new_rates = sm._rates_np(bumped, p.blocks[0])
+        new_rates = rates(bumped, p.blocks[0])
         new_states = sm.scan_sequential(bumped, p).states
         # rates change at the perturbed step only
         assert np.array_equal(base_rates[0][:10], new_rates[0][:10])
@@ -183,6 +179,22 @@ class TestSsmForward:
         x = CounterRng(13).normal((10, 8))
         out = sm.ssm_forward(Tensor(x), p, backend="sequential").data
         assert np.allclose(out, sm.scan_sequential(x, p).states, atol=1e-12)
+
+    def test_sequential_backend_is_the_loop_bit_for_bit(self, monkeypatch):
+        p = make_params(blocks=2)
+        x = CounterRng(17).normal((40, 8))
+        w = Tensor(CounterRng(18).normal((40, 12)))
+        plist = list(p.named_params().values())
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                out = sm.ssm_forward(xt, p, backend="sequential")
+                grads = tape.backward(tt.tsum(out * w), params=plist + [xt])
+            return [out.data] + [grads[t] for t in plist + [xt]]
+        got = run()
+        monkeypatch.setattr(tt, "selective_scan", lambda a, b, chunk=None: loop_scan_op(a, b))
+        ref = run()
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
     def test_backends_agree(self):
         p = make_params(blocks=2)
@@ -220,7 +232,7 @@ class TestExhaustiveSmallT:
         for T in range(1, 9):
             x = CounterRng(100 + T).normal((T, 8))
             assert rel_err(sm.scan_sequential(x, p).states,
-                           sm.scan_parallel(x, p, chunk_size=4).states) < 1e-8
+                           sm.scan_parallel(x, p).states) < 1e-8
 
 
 def scan_runtime_ratio(runs: int = 20) -> float:

@@ -304,6 +304,63 @@ class TestFloat32Mode:
             tt.set_default_dtype(np.int32)
 
 
+def loop_scan(a, b):
+    """Reference forward: s_t = a_t * s_{t-1} + b_t from s_0 = 0, one step at a time."""
+    T, d = a.shape
+    states = np.empty((T, d), dtype=a.dtype)
+    s = np.zeros(d, dtype=a.dtype)
+    for t in range(T):
+        s = a[t] * s + b[t]
+        states[t] = s
+    return states
+
+
+def loop_scan_vjp(a, states, g):
+    """Reference backward: c_t = g_t + a_{t+1} c_{t+1}, right to left.
+
+    Returns (grad_a, grad_b) = (c_t * s_{t-1} with zero at t = 0, c_t)."""
+    T, d = a.shape
+    ga = np.zeros((T, d), dtype=g.dtype)
+    gb = np.empty((T, d), dtype=g.dtype)
+    c = np.zeros(d, dtype=g.dtype)
+    for t in range(T - 1, -1, -1):
+        c = g[t] + (a[t + 1] * c if t + 1 < T else 0.0)
+        gb[t] = c
+        if t > 0:
+            ga[t] = c * states[t - 1]
+    return ga, gb
+
+
+def loop_scan_op(a_seq, b_seq):
+    """The reference loops as a tape op, for whole-model reference gradients."""
+    states = loop_scan(a_seq.data, b_seq.data)
+    out = Tensor._wrap(states)
+    tape = tt._recording(a_seq, b_seq)
+    if tape is not None:
+        tape._record(out, (a_seq, b_seq),
+                     lambda g: loop_scan_vjp(a_seq.data, states, g))
+    return out
+
+
+def scan_with_grads(a, b, g, chunk=None):
+    """selective_scan's states and its (grad_a, grad_b) for the cotangent g."""
+    at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = tt.selective_scan(at, bt, chunk=chunk)
+        grads = tape.backward(tt.tsum(tt.mul(out, Tensor(g))))
+    return out.data, grads[at], grads[bt]
+
+
+def scan_case(T, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.05, 0.95, (T, d)), rng.normal(size=(T, d)),
+            rng.normal(size=(T, d)))
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12))
+
+
 class TestSelectiveScanOp:
     def test_memoryless_when_a_zero(self):
         rng = np.random.default_rng(0)
@@ -319,6 +376,63 @@ class TestSelectiveScanOp:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ShapeError):
             tt.selective_scan(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2))))
+
+    def test_chunk_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            tt.selective_scan(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))), chunk=0)
+
+    @pytest.mark.parametrize("T", [1, 2, 37, 300])
+    def test_single_chunk_is_the_loop_bit_for_bit(self, T):
+        a, b, g = scan_case(T, seed=T)
+        b[0, 0] = g[-1, 0] = -0.0   # the loops start from +0.0 on both sides
+        states, ga, gb = scan_with_grads(a, b, g, chunk=T)
+        ref = loop_scan(a, b)
+        ref_ga, ref_gb = loop_scan_vjp(a, ref, g)
+        assert states.tobytes() == ref.tobytes()
+        assert ga.tobytes() == ref_ga.tobytes()
+        assert gb.tobytes() == ref_gb.tobytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17,
+                                   63, 64, 65, 255, 256, 257])
+    def test_default_chunk_matches_loop_at_chunk_boundaries(self, T):
+        a, b, g = scan_case(T, seed=T)
+        states, ga, gb = scan_with_grads(a, b, g)
+        ref = loop_scan(a, b)
+        ref_ga, ref_gb = loop_scan_vjp(a, ref, g)
+        assert rel_err(states, ref) < 1e-8
+        assert rel_err(ga, ref_ga) < 1e-8
+        assert rel_err(gb, ref_gb) < 1e-8
+
+    def test_inputs_left_unchanged(self):
+        a, b, g = scan_case(20)
+        a0, b0, g0 = a.copy(), b.copy(), g.copy()
+        for chunk in (1, 4, 20):
+            scan_with_grads(a, b, g, chunk=chunk)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0) and np.array_equal(g, g0)
+
+
+def masked_sigmoid(x):
+    """The boolean-mask sigmoid the tensor module used to compute."""
+    pos = x >= 0
+    z = np.empty_like(x)
+    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    z[~pos] = ex / (1.0 + ex)
+    return z
+
+
+class TestSigmoidForms:
+    def test_bit_identical_to_masked_formula(self):
+        tiny = np.finfo(np.float64).tiny
+        grid = np.concatenate([np.linspace(-800.0, 800.0, 20001),
+                               [0.0, -0.0, tiny, -tiny, tiny / 4, -tiny / 4,
+                                5e-324, -5e-324, 1e-300, -1e-300]])
+        ref = masked_sigmoid(grid).tobytes()
+        assert tt.sigmoid(Tensor(grid)).data.tobytes() == ref
+        x = Tensor(grid, requires_grad=True)
+        with Tape() as tape:
+            grads = tape.backward(tt.tsum(tt.softplus(x)))
+        assert grads[x].tobytes() == ref
 
 
 class TestScaledSelfOuter:
