@@ -50,9 +50,8 @@ class CompressParams:
         if k_tokens < 1:
             raise ConfigError(f"token count must be >= 1, got {k_tokens}")
         return cls(
-            queries=Tensor(rng.normal((k_tokens, d_h), std=1.0 / math.sqrt(d_h)),
-                           requires_grad=True),
-            proj_w=Tensor(rng.normal((d_k, d_h), std=1.0 / math.sqrt(d_h)), requires_grad=True),
+            queries=tt.init_weight(rng, (k_tokens, d_h), d_h),
+            proj_w=tt.init_weight(rng, (d_k, d_h), d_h),
             proj_b=Tensor(np.zeros(d_k), requires_grad=True),
         )
 
@@ -83,7 +82,7 @@ def compress_tokens(states: Tensor, params: CompressParams,
     else:
         scores = tt.matmul(params.queries, states.T) * (1.0 / math.sqrt(d_h))
         if score_mask is not None:
-            scores = scores + Tensor(np.asarray(score_mask, dtype=np.float64))
+            scores = scores + Tensor(score_mask)
         attn = tt.softmax(scores, axis=-1)
         pooled = tt.matmul(attn, states)
     return BrainTokens(z=tt.linear(pooled, params.proj_w, params.proj_b))
@@ -111,7 +110,7 @@ class LoraAdapter:
         if not 0.0 <= dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {dropout_p}")
         return cls(
-            a=Tensor(rng.normal((rank, d_in), std=1.0 / math.sqrt(d_in)), requires_grad=True),
+            a=tt.init_weight(rng, (rank, d_in), d_in),
             b=Tensor(np.zeros((d_out, rank)), requires_grad=True),
             rank=rank, alpha=alpha, dropout_p=dropout_p,
         )
@@ -182,27 +181,24 @@ class SurrogateModel:
         if bad:
             raise ConfigError(f"unknown LoRA targets {sorted(bad)}")
         rng = CounterRng(seed).child(0xF0)
-        def frozen_w(shape, fan_in):
-            t = Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)))
-            t.requires_grad = False
-            return t
         frozen = {
-            "embed": frozen_w((vocab, d_k), d_k),
-            "pos": frozen_w((max_len, d_k), d_k),
+            "embed": tt.init_weight(rng, (vocab, d_k), d_k, requires_grad=False),
+            "pos": tt.init_weight(rng, (max_len, d_k), d_k, requires_grad=False),
             "final_ln_g": Tensor(np.ones(d_k)),
             "final_ln_b": Tensor(np.zeros(d_k)),
         }
         for i in range(block_count):
             p = f"block{i}"
             for nm in ("q", "k", "v", "o"):
-                frozen[f"{p}.w{nm}"] = frozen_w((d_k, d_k), d_k)
+                frozen[f"{p}.w{nm}"] = tt.init_weight(rng, (d_k, d_k), d_k, requires_grad=False)
             frozen[f"{p}.ln1_g"] = Tensor(np.ones(d_k))
             frozen[f"{p}.ln1_b"] = Tensor(np.zeros(d_k))
             frozen[f"{p}.ln2_g"] = Tensor(np.ones(d_k))
             frozen[f"{p}.ln2_b"] = Tensor(np.zeros(d_k))
-            frozen[f"{p}.mlp_w1"] = frozen_w((4 * d_k, d_k), d_k)
+            frozen[f"{p}.mlp_w1"] = tt.init_weight(rng, (4 * d_k, d_k), d_k, requires_grad=False)
             frozen[f"{p}.mlp_b1"] = Tensor(np.zeros(4 * d_k))
-            frozen[f"{p}.mlp_w2"] = frozen_w((d_k, 4 * d_k), 4 * d_k)
+            frozen[f"{p}.mlp_w2"] = tt.init_weight(rng, (d_k, 4 * d_k), 4 * d_k,
+                                                   requires_grad=False)
             frozen[f"{p}.mlp_b2"] = Tensor(np.zeros(d_k))
         arng = CounterRng(seed).child(0xAD)
         adapters = {}
@@ -211,7 +207,7 @@ class SurrogateModel:
                 adapters[f"block{i}.{nm}"] = LoraAdapter.create(
                     arng.child(i * 8 + "qkvo".index(nm)), d_k, d_k, rank, alpha, dropout_p)
         hrng = CounterRng(seed).child(0x4E)
-        head_w = Tensor(hrng.normal((2, d_k), std=1.0 / math.sqrt(d_k)), requires_grad=True)
+        head_w = tt.init_weight(hrng, (2, d_k), d_k)
         head_b = Tensor(np.zeros(2), requires_grad=True)
         brain_pos = None
         if k_tokens_for_pos > 0:

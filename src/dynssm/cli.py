@@ -18,6 +18,8 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
 
+DEFAULT_THREADS = 1
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -31,7 +33,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="run seed (falls back to DYNS_SEED, then config)")
     p.add_argument("--profile", choices=["paper", "desk"], default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker cap")
+    p.add_argument("--threads", type=int, default=DEFAULT_THREADS,
+                   help=f"BLAS thread count (default {DEFAULT_THREADS})")
     p.add_argument("--out", help="output directory")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.add_argument("--json", dest="json_out", action="store_true",
@@ -90,10 +93,9 @@ def build_parser() -> _Parser:
 
 
 def _pin_threads(argv: list[str]) -> None:
-    # Must happen before numpy is imported anywhere in this process. Without
-    # --threads, pin to the default that config.resolved records.
-    from .config import default_config
-    threads = default_config()["threads"]
+    # Must happen before numpy is imported anywhere in this process, so it
+    # reads --threads from argv itself; config.resolved records the same value.
+    threads = DEFAULT_THREADS
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
@@ -110,8 +112,7 @@ def _resolve(args) -> dict:
         seed = int(os.environ["DYNS_SEED"])
     cfg = resolve_config(config_path=args.config, overrides=args.overrides,
                          profile=args.profile, seed=seed)
-    if args.threads is not None:
-        cfg["threads"] = args.threads
+    cfg["threads"] = args.threads
     if getattr(args, "variant", None):
         cfg["variant"] = args.variant
     if getattr(args, "epochs", None) is not None:

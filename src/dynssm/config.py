@@ -1,55 +1,106 @@
 """Layered run configuration: profile defaults <- config file <- CLI overrides.
 
 The file format is JSON with three sections (data / model / train) plus a few
-top-level keys. Unknown keys anywhere are rejected. The fully resolved
-configuration is echoed into every run directory as ``config.resolved``.
+top-level keys. Unknown keys anywhere are rejected. The model and train
+sections are the fields of :class:`ModelConfig` and :class:`TrainConfig`, and
+their defaults are the dataclass defaults. The fully resolved configuration
+is echoed into every run directory as ``config.resolved``.
+
+This module imports no numpy, so it can be read before the CLI pins BLAS
+threads.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
-# Paper-scale model/train values are the documented defaults; the desk
-# profile shrinks them for synthetic benchmarks and CI.
-_MODEL_DEFAULTS = {
-    "kernel_size": 3,
-    "conv_features": 8,
-    "d_lat": 128,
-    "encoder_heads": 4,
-    "attention_enabled": True,
-    "filter_mode": "row_normalized",
-    "backbone": "mamba",
-    "d_h": 64,
-    "ssm_blocks": 2,
-    "align": "tokens",
-    "k_tokens": 8,
-    "d_k": 64,
-    "surrogate_blocks": 2,
-    "surrogate_heads": 4,
-    "vocab": 64,
-    "prompt_len": 8,
-    "context_cap": 64,
-    "lora_rank": 16,
-    "lora_alpha": 32.0,
-    "lora_dropout": 0.1,
-    "train_adapters": True,
-    "brain_pos_offsets": False,
-    "frozen_seed": 20_240_001,
-}
+BACKBONES = ("mamba", "s4", "gru", "tcn", "transformer")
+ALIGN_MODES = ("tokens", "meanpool", "random", "none")
 
-_TRAIN_DEFAULTS = {
-    "learning_rate": 1e-4,
-    "epochs": 10,
-    "batch_size": 8,
-    "accumulation_steps": 1,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "val_fraction": 0.1,
-}
+
+@dataclass
+class ModelConfig:
+    """Model hyperparameters; the field defaults are the paper-scale values."""
+
+    n_rois: int = 16
+    kernel_size: int = 3
+    conv_features: int = 8
+    d_lat: int = 128
+    encoder_heads: int = 4
+    attention_enabled: bool = True
+    filter_mode: str = "row_normalized"
+    static_graph: bool = False
+    backbone: str = "mamba"
+    d_h: int = 64
+    ssm_blocks: int = 2
+    align: str = "tokens"
+    k_tokens: int = 8
+    d_k: int = 64
+    surrogate_blocks: int = 2
+    surrogate_heads: int = 4
+    vocab: int = 64
+    prompt_len: int = 8
+    context_cap: int = 64
+    lora_rank: int = 16
+    lora_alpha: float = 32.0
+    lora_dropout: float = 0.1
+    lora_targets: tuple = ("q", "v")
+    train_adapters: bool = True
+    brain_pos_offsets: bool = False
+    frozen_seed: int = 20_240_001   # fixed: "frozen" must be reproducible
+    param_seed: int = 7
+
+    def validate(self) -> None:
+        if self.backbone not in BACKBONES:
+            raise ConfigError(f"unknown backbone {self.backbone!r}; options: {BACKBONES}")
+        if self.align not in ALIGN_MODES:
+            raise ConfigError(f"unknown align mode {self.align!r}; options: {ALIGN_MODES}")
+        if self.filter_mode not in ("raw", "row_normalized"):
+            raise ConfigError(f"unknown filter mode {self.filter_mode!r}")
+        if self.prompt_len < 1 or self.prompt_len >= self.vocab:
+            raise ConfigError("prompt_len must be in [1, vocab)")
+
+    @classmethod
+    def desk(cls, n_rois: int = 16, **overrides) -> "ModelConfig":
+        """Small configuration for tests and synthetic benchmarks."""
+        return cls(n_rois=n_rois, **{**_PROFILES["desk"]["model"], **overrides})
+
+
+@dataclass
+class TrainConfig:
+    learning_rate: float = 1e-4
+    epochs: int = 10
+    batch_size: int = 8
+    accumulation_steps: int = 1
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    seed: int = 0
+    variant: str = "full"
+    val_fraction: float = 0.1    # carve-out of train used for model selection
+
+    def validate(self) -> None:
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1 or self.accumulation_steps < 1:
+            raise ConfigError("batch_size and accumulation_steps must be >= 1")
+
+
+def _field_defaults(cls, internal: tuple) -> dict:
+    # Fields that the run fixes or derives from its seed, variant or data are
+    # not config keys.
+    return {f.name: f.default for f in fields(cls) if f.name not in internal}
+
+
+_MODEL_KEYS = _field_defaults(ModelConfig, ("n_rois", "param_seed", "lora_targets",
+                                            "static_graph"))
+_TRAIN_KEYS = _field_defaults(TrainConfig, ("seed", "variant"))
 
 _DATA_DEFAULTS = {
     "n_rois": 16,
@@ -61,6 +112,8 @@ _DATA_DEFAULTS = {
     "train_fraction": 0.8,
 }
 
+# The paper profile is the dataclass defaults; the desk profile shrinks them
+# for synthetic benchmarks and CI.
 _PROFILES = {
     "paper": {"model": {}, "train": {}},
     "desk": {
@@ -72,7 +125,6 @@ _PROFILES = {
 
 _TOP_DEFAULTS = {
     "seed": 0,
-    "threads": 1,
     "variant": "full",
     "profile": "desk",
 }
@@ -84,8 +136,8 @@ def default_config(profile: str = "desk") -> dict:
     cfg = dict(_TOP_DEFAULTS)
     cfg["profile"] = profile
     cfg["data"] = dict(_DATA_DEFAULTS)
-    cfg["model"] = {**_MODEL_DEFAULTS, **_PROFILES[profile]["model"]}
-    cfg["train"] = {**_TRAIN_DEFAULTS, **_PROFILES[profile]["train"]}
+    cfg["model"] = {**_MODEL_KEYS, **_PROFILES[profile]["model"]}
+    cfg["train"] = {**_TRAIN_KEYS, **_PROFILES[profile]["train"]}
     return cfg
 
 
@@ -152,14 +204,9 @@ def resolve_config(config_path=None, overrides=(), profile=None, seed=None) -> d
     return cfg
 
 
-def build_model_config(cfg: dict, n_rois: int):
-    from .model import ModelConfig
-    m = cfg["model"]
-    return ModelConfig(n_rois=n_rois, param_seed=cfg["seed"] + 1,
-                       lora_targets=("q", "v"), **m)
+def build_model_config(cfg: dict, n_rois: int) -> ModelConfig:
+    return ModelConfig(n_rois=n_rois, param_seed=cfg["seed"] + 1, **cfg["model"])
 
 
-def build_train_config(cfg: dict):
-    from .training import TrainConfig
-    t = cfg["train"]
-    return TrainConfig(seed=cfg["seed"], variant=cfg["variant"], **t)
+def build_train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(seed=cfg["seed"], variant=cfg["variant"], **cfg["train"])

@@ -48,16 +48,14 @@ class NodeEncoderParams:
             raise ConfigError(f"d_lat must be positive, got {d_lat}")
         if heads <= 0 or d_lat % heads != 0:
             raise ConfigError(f"d_lat={d_lat} must be divisible by heads={heads}")
-        def w(shape, fan_in):
-            return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=True)
         attn = {}
         for name in ("wq", "wk", "wv", "wo"):
-            attn[name] = w((d_lat, d_lat), d_lat)
+            attn[name] = tt.init_weight(rng, (d_lat, d_lat), d_lat)
             attn["b" + name[1]] = Tensor(np.zeros(d_lat), requires_grad=True)
         return cls(
-            conv_w=w((1, conv_features, 1, kernel_size), kernel_size),
+            conv_w=tt.init_weight(rng, (1, conv_features, 1, kernel_size), kernel_size),
             conv_b=Tensor(np.zeros(conv_features), requires_grad=True),
-            proj_w=w((d_lat, conv_features), conv_features),
+            proj_w=tt.init_weight(rng, (d_lat, conv_features), conv_features),
             proj_b=Tensor(np.zeros(d_lat), requires_grad=True),
             attn=attn,
             heads=heads,

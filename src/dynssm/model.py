@@ -9,7 +9,7 @@ mode, swappable temporal backbones behind one interface, alignment variants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -19,62 +19,10 @@ from . import graph as gr
 from . import ssm as sm
 from . import tensor as tt
 from .checkpoint import load_params, save_params
+from .config import ModelConfig
 from .errors import ConfigError
 from .rng import CounterRng
 from .tensor import Tensor
-
-BACKBONES = ("mamba", "s4", "gru", "tcn", "transformer")
-ALIGN_MODES = ("tokens", "meanpool", "random", "none")
-
-
-@dataclass
-class ModelConfig:
-    n_rois: int = 16
-    kernel_size: int = 3
-    conv_features: int = 8
-    d_lat: int = 128
-    encoder_heads: int = 4
-    attention_enabled: bool = True
-    filter_mode: str = "row_normalized"
-    static_graph: bool = False
-    backbone: str = "mamba"
-    d_h: int = 64
-    ssm_blocks: int = 2
-    align: str = "tokens"
-    k_tokens: int = 8
-    d_k: int = 64
-    surrogate_blocks: int = 2
-    surrogate_heads: int = 4
-    vocab: int = 64
-    prompt_len: int = 8
-    context_cap: int = 64
-    lora_rank: int = 16
-    lora_alpha: float = 32.0
-    lora_dropout: float = 0.1
-    lora_targets: tuple = ("q", "v")
-    train_adapters: bool = True
-    brain_pos_offsets: bool = False
-    frozen_seed: int = 20_240_001   # fixed: "frozen" must be reproducible
-    param_seed: int = 7
-
-    def validate(self) -> None:
-        if self.backbone not in BACKBONES:
-            raise ConfigError(f"unknown backbone {self.backbone!r}; options: {BACKBONES}")
-        if self.align not in ALIGN_MODES:
-            raise ConfigError(f"unknown align mode {self.align!r}; options: {ALIGN_MODES}")
-        if self.filter_mode not in ("raw", "row_normalized"):
-            raise ConfigError(f"unknown filter mode {self.filter_mode!r}")
-        if self.prompt_len < 1 or self.prompt_len >= self.vocab:
-            raise ConfigError("prompt_len must be in [1, vocab)")
-
-    @classmethod
-    def desk(cls, n_rois: int = 16, **overrides) -> "ModelConfig":
-        """Small configuration for tests and synthetic benchmarks."""
-        base = dict(n_rois=n_rois, conv_features=4, d_lat=16, d_h=32, k_tokens=8,
-                    d_k=64, lora_rank=4, lora_alpha=8.0, context_cap=32)
-        base.update(overrides)
-        return cls(**base)
-
 
 def _sinusoidal(length: int, dim: int) -> np.ndarray:
     pos = np.arange(length)[:, None]
@@ -88,14 +36,12 @@ def _sinusoidal(length: int, dim: int) -> np.ndarray:
 
 class _GruBackbone:
     def __init__(self, rng: CounterRng, d_in: int, d_h: int):
-        def w(shape, fan_in):
-            return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=True)
         self.d_h = d_h
-        self.wz, self.wr, self.wh = (w((d_h, d_in), d_in) for _ in range(3))
-        self.uz, self.ur, self.uh = (w((d_h, d_h), d_h) for _ in range(3))
+        self.wz, self.wr, self.wh = (tt.init_weight(rng, (d_h, d_in), d_in) for _ in range(3))
+        self.uz, self.ur, self.uh = (tt.init_weight(rng, (d_h, d_h), d_h) for _ in range(3))
         self.bz, self.br, self.bh = (Tensor(np.zeros(d_h), requires_grad=True)
                                      for _ in range(3))
-        self.w_out = w((d_h, d_h), d_h)
+        self.w_out = tt.init_weight(rng, (d_h, d_h), d_h)
         self.b_out = Tensor(np.zeros(d_h), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -122,14 +68,12 @@ class _GruBackbone:
 
 class _TcnBackbone:
     def __init__(self, rng: CounterRng, d_in: int, d_h: int, kernel_size: int = 3):
-        def w(shape, fan_in):
-            return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=True)
         self.kernel_size = kernel_size
-        self.w1 = w((1, d_h, d_in, kernel_size), d_in * kernel_size)
+        self.w1 = tt.init_weight(rng, (1, d_h, d_in, kernel_size), d_in * kernel_size)
         self.b1 = Tensor(np.zeros(d_h), requires_grad=True)
-        self.w2 = w((1, d_h, d_h, kernel_size), d_h * kernel_size)
+        self.w2 = tt.init_weight(rng, (1, d_h, d_h, kernel_size), d_h * kernel_size)
         self.b2 = Tensor(np.zeros(d_h), requires_grad=True)
-        self.w_out = w((d_h, d_h), d_h)
+        self.w_out = tt.init_weight(rng, (d_h, d_h), d_h)
         self.b_out = Tensor(np.zeros(d_h), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -146,16 +90,14 @@ class _TransformerBackbone:
     def __init__(self, rng: CounterRng, d_in: int, d_h: int, heads: int = 4):
         if d_h % heads != 0:
             raise ConfigError(f"d_h={d_h} must be divisible by heads={heads}")
-        def w(shape, fan_in):
-            return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=True)
         self.heads = heads
-        self.w_in = w((d_h, d_in), d_in)
+        self.w_in = tt.init_weight(rng, (d_h, d_in), d_in)
         self.b_in = Tensor(np.zeros(d_h), requires_grad=True)
         for nm in ("wq", "wk", "wv", "wo"):
-            setattr(self, nm, w((d_h, d_h), d_h))
-        self.w_ff1 = w((2 * d_h, d_h), d_h)
+            setattr(self, nm, tt.init_weight(rng, (d_h, d_h), d_h))
+        self.w_ff1 = tt.init_weight(rng, (2 * d_h, d_h), d_h)
         self.b_ff1 = Tensor(np.zeros(2 * d_h), requires_grad=True)
-        self.w_ff2 = w((d_h, 2 * d_h), 2 * d_h)
+        self.w_ff2 = tt.init_weight(rng, (d_h, 2 * d_h), 2 * d_h)
         self.b_ff2 = Tensor(np.zeros(d_h), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -182,12 +124,10 @@ class _S4Backbone:
     """Fixed-parameter diagonal recurrence: input-independent A and timescale."""
 
     def __init__(self, rng: CounterRng, d_in: int, d_h: int):
-        def w(shape, fan_in):
-            return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=True)
         self.a = Tensor(rng.normal((d_h,), std=0.5) - 1.0, requires_grad=True)
         self.delta = Tensor(np.zeros(d_h), requires_grad=True)
-        self.w_b = w((d_h, d_in), d_in)
-        self.w_out = w((d_h, d_h), d_h)
+        self.w_b = tt.init_weight(rng, (d_h, d_in), d_in)
+        self.w_out = tt.init_weight(rng, (d_h, d_h), d_h)
         self.b_out = Tensor(np.zeros(d_h), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -268,7 +208,7 @@ class BrainSequenceClassifier:
         cfg = self.cfg
         brain = None
         if self.uses_brain:
-            x = Tensor(np.asarray(values, dtype=np.float64))
+            x = Tensor(values)
             seq = gr.encode_sequence(x, self.encoder, mode=cfg.filter_mode)
             if cfg.static_graph:
                 filtered = gr.static_filter(x, seq.adjacency, mode=cfg.filter_mode)
@@ -337,17 +277,31 @@ class BrainSequenceClassifier:
         save_params(path, {k: v.data for k, v in self.all_named_params().items()})
 
     def load(self, path) -> None:
+        """Load every parameter from ``path``, or none of them.
+
+        The checkpoint must hold exactly this model's names and shapes and
+        the same frozen surrogate, byte for byte (same ``checksum()``).
+        """
         stored = load_params(path)
         own = self.all_named_params()
         missing = set(own) - set(stored)
         if missing:
             raise ConfigError(f"checkpoint is missing parameters: {sorted(missing)[:5]}")
+        unknown = set(stored) - set(own)
+        if unknown:
+            raise ConfigError(f"checkpoint has parameters this model does not own: "
+                              f"{sorted(unknown)[:5]}")
         for name, tensor in own.items():
-            arr = stored[name]
-            if arr.shape != tensor.data.shape:
-                raise ConfigError(f"checkpoint parameter {name} has shape {arr.shape}, "
-                                  f"expected {tensor.data.shape}")
-            tensor.data = np.ascontiguousarray(arr)
+            if stored[name].shape != tensor.data.shape:
+                raise ConfigError(f"checkpoint parameter {name} has shape "
+                                  f"{stored[name].shape}, expected {tensor.data.shape}")
+        changed = [name for name, tensor in self.named_frozen().items()
+                   if stored[name].tobytes() != tensor.data.tobytes()]
+        if changed:
+            raise ConfigError(f"checkpoint changes the frozen surrogate (checksum "
+                              f"{self.surrogate.checksum()[:12]}): {changed[:5]}")
+        for name, tensor in own.items():
+            tensor.data = np.ascontiguousarray(stored[name])
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.all_named_params().items()}

@@ -13,7 +13,6 @@ plain first-block loop that the tests and the benchmark compare against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,20 +53,18 @@ class SsmParams:
             raise ConfigError(f"d_h must be positive, got {d_h}")
         if block_count < 1:
             raise ConfigError(f"block_count must be >= 1, got {block_count}")
-        def w(shape, fan_in):
-            return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=True)
         blocks = []
         for i in range(block_count):
             last = i == block_count - 1
             blocks.append(SsmBlockParams(
                 a=Tensor(rng.normal((d_h,), std=0.5) - 1.0, requires_grad=True),
-                w_delta=w((d_h, d_in), d_in),
+                w_delta=tt.init_weight(rng, (d_h, d_in), d_in),
                 delta_bias=Tensor(np.zeros(d_h), requires_grad=True),
-                w_b=w((d_h, d_in), d_in),
-                w_mix=None if last else w((d_in, d_h), d_h),
+                w_b=tt.init_weight(rng, (d_h, d_in), d_in),
+                w_mix=None if last else tt.init_weight(rng, (d_in, d_h), d_h),
                 b_mix=None if last else Tensor(np.zeros(d_in), requires_grad=True),
             ))
-        return cls(blocks=blocks, w_out=w((d_h, d_h), d_h),
+        return cls(blocks=blocks, w_out=tt.init_weight(rng, (d_h, d_h), d_h),
                    b_out=Tensor(np.zeros(d_h), requires_grad=True), d_h=d_h, d_in=d_in)
 
     def named_params(self, prefix: str = "ssm") -> dict[str, Tensor]:
@@ -107,10 +104,10 @@ def selective_rates(x_seq: Tensor, block: SsmBlockParams) -> tuple[Tensor, Tenso
 
 
 def _first_block_rates(x_seq: np.ndarray, params: SsmParams) -> tuple[Tensor, Tensor]:
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    if x_seq.ndim != 2 or x_seq.shape[0] < 1:
-        raise ShapeError(f"scan expects (T, d_in) with T >= 1, got shape {x_seq.shape}")
-    return selective_rates(Tensor(x_seq), params.blocks[0])
+    x = Tensor(x_seq)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ShapeError(f"scan expects (T, d_in) with T >= 1, got shape {x.shape}")
+    return selective_rates(x, params.blocks[0])
 
 
 def scan_sequential(x_seq: np.ndarray, params: SsmParams) -> SsmStateSeq:
@@ -133,18 +130,6 @@ def scan_parallel(x_seq: np.ndarray, params: SsmParams) -> SsmStateSeq:
     """Chunked-scan backend; matches scan_sequential within 1e-8 relative."""
     a_seq, bx_seq = _first_block_rates(x_seq, params)
     return SsmStateSeq(states=tt.selective_scan(a_seq, bx_seq).data)
-
-
-def compose(later: tuple[np.ndarray, np.ndarray],
-            earlier: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Associative composition of affine recurrence steps.
-
-    (A2, b2) o (A1, b1) = (A2*A1, A2*b1 + b2): applying ``earlier`` then
-    ``later`` to a state s gives A2*(A1*s + b1) + b2.
-    """
-    a2, b2 = later
-    a1, b1 = earlier
-    return a2 * a1, a2 * b1 + b2
 
 
 def ssm_forward(x_seq: Tensor, params: SsmParams, backend: str = "parallel") -> Tensor:

@@ -1,6 +1,6 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-Values are numpy arrays (float64 by default). Gradients are recorded on an
+Values are float64 numpy arrays, always. Gradients are recorded on an
 explicit :class:`Tape`: every operation that consumes a tensor requiring
 gradients appends one node (output, parents, vjp closure) in execution order,
 so the tape is topologically sorted by construction and the backward pass is
@@ -23,23 +23,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, NumericsError, OracleError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
 _DEBUG_CHECKS = False
 
 _tls = threading.local()
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the element type for newly created tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ConfigError(f"unsupported dtype {dtype}; use float64 or float32")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -67,7 +53,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape_ref", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.ascontiguousarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericsError("tensor data contains NaN or Inf")
         self.data = arr
@@ -173,7 +159,12 @@ def _scalar_err(t: Tensor):
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return Tensor(x)
+
+
+def init_weight(rng, shape: tuple, fan_in: int, requires_grad: bool = True) -> Tensor:
+    """Normal draws from ``rng`` with std 1/sqrt(fan_in); every module's weight init."""
+    return Tensor(rng.normal(shape, std=1.0 / math.sqrt(fan_in)), requires_grad=requires_grad)
 
 
 GradientMap = dict  # Tensor -> np.ndarray, keyed by identity

@@ -10,40 +10,18 @@ import numpy as np
 
 from . import tensor as tt
 from .align import classify
+from .config import ALIGN_MODES, BACKBONES, ModelConfig, TrainConfig
 from .data import DatasetSplit, normalize_zscore
 from .errors import ConfigError, EvaluationError, NumericsError
-from .model import BrainSequenceClassifier, ModelConfig, variant_config
+from .model import BrainSequenceClassifier, variant_config
 from .rng import CounterRng
 from .tensor import Tape, Tensor
 
 VARIANTS = ("full", "static_graph", "frozen_llm",
-            "backbone:gru", "backbone:tcn", "backbone:transformer",
-            "backbone:s4", "backbone:mamba",
-            "align:tokens", "align:meanpool", "align:random", "align:none")
+            *(f"backbone:{name}" for name in BACKBONES),
+            *(f"align:{mode}" for mode in ALIGN_MODES))
 
 _LABEL_INDEX = {"ASD": 0, "TC": 1}
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-4
-    epochs: int = 10
-    batch_size: int = 8
-    accumulation_steps: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-    variant: str = "full"
-    val_fraction: float = 0.1    # carve-out of train used for model selection
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1 or self.accumulation_steps < 1:
-            raise ConfigError("batch_size and accumulation_steps must be >= 1")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from dynssm.cli import _pin_threads, main
+from dynssm.cli import _pin_threads, _resolve, build_parser, main
 from dynssm.config import apply_override, default_config, resolve_config
 from dynssm.errors import ConfigError
 
@@ -28,6 +28,8 @@ class TestConfigLayers:
             apply_override(cfg, "model.nope=1")
         with pytest.raises(ConfigError, match="backend"):
             apply_override(cfg, "backend=parallel")
+        with pytest.raises(ConfigError, match="threads"):   # a flag only
+            apply_override(cfg, "threads=2")
 
     def test_override_wins_over_file(self, tmp_path):
         path = tmp_path / "c.json"
@@ -55,19 +57,24 @@ class TestConfigLayers:
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def resolved_threads(*argv):
+    return _resolve(build_parser().parse_args(["train", *argv]))["threads"]
+
+
 class TestThreadPinning:
     def test_default_pins_what_config_records(self, monkeypatch):
         for var in THREAD_VARS:   # monkeypatch restores the environment afterwards
             monkeypatch.delenv(var, raising=False)
         _pin_threads([])
-        recorded = str(default_config()["threads"])
-        assert [os.environ.get(var) for var in THREAD_VARS] == [recorded] * 3
+        assert [os.environ.get(var) for var in THREAD_VARS] == ["1"] * 3
+        assert resolved_threads() == 1
 
     def test_flag_wins(self, monkeypatch):
         for var in THREAD_VARS:
             monkeypatch.setenv(var, "7")
         _pin_threads(["train", "--threads", "2"])
         assert [os.environ.get(var) for var in THREAD_VARS] == ["2"] * 3
+        assert resolved_threads("--threads", "2") == 2
 
 
 class TestExitCodes:

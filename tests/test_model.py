@@ -53,6 +53,28 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="missing"):
             model.load(tmp_path / "short.dyns")
 
+    def test_load_rejects_names_the_model_does_not_own(self, tmp_path):
+        path = tmp_path / "desk.dyns"
+        BrainSequenceClassifier(ModelConfig.desk(n_rois=8)).save(path)
+        bare = BrainSequenceClassifier(ModelConfig.desk(n_rois=8, align="none"))
+        before = bare.snapshot()
+        with pytest.raises(ConfigError, match="does not own"):
+            bare.load(path)
+        assert all(np.array_equal(v, before[k]) for k, v in bare.snapshot().items())
+
+    def test_load_rejects_a_changed_surrogate(self, tmp_path):
+        from dynssm.checkpoint import load_params, save_params
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=8))
+        path = tmp_path / "m.dyns"
+        model.save(path)
+        stored = load_params(path)
+        stored["surrogate.embed"] = stored["surrogate.embed"] + 1.0
+        save_params(path, stored)
+        checksum = model.surrogate.checksum()
+        with pytest.raises(ConfigError, match="frozen surrogate"):
+            model.load(path)
+        assert model.surrogate.checksum() == checksum
+
     def test_snapshot_restore(self):
         model = BrainSequenceClassifier(ModelConfig.desk(n_rois=8))
         x = CounterRng(1).normal((12, 8))

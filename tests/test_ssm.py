@@ -133,25 +133,6 @@ class TestScanParallel:
             assert rel_err(gb, ref_gb) < 1e-8
 
 
-class TestAssociativity:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_operator_associative(self, seed):
-        rng = CounterRng(seed)
-        ops = [(rng.uniform((6,)), rng.normal((6,))) for _ in range(3)]
-        o3, o2, o1 = ops
-        left = sm.compose(sm.compose(o3, o2), o1)
-        right = sm.compose(o3, sm.compose(o2, o1))
-        for l_part, r_part in zip(left, right):
-            assert np.max(np.abs(l_part - r_part)) < 1e-12
-
-    def test_identity_element(self):
-        rng = CounterRng(42)
-        op = (rng.uniform((4,)), rng.normal((4,)))
-        ident = (np.ones(4), np.zeros(4))
-        for part_a, part_b in zip(sm.compose(op, ident), op):
-            assert np.array_equal(part_a, part_b)
-
-
 class TestSelectivity:
     def test_perturbation_is_causal(self):
         p = make_params(blocks=1)

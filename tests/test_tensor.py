@@ -288,22 +288,6 @@ class TestFiniteDiffCheck:
             finite_diff_check(lambda ps: tt.tsum(ps[0]), [w], eps=0.0)
 
 
-class TestFloat32Mode:
-    def test_loosened_tolerance_gradcheck(self):
-        tt.set_default_dtype(np.float32)
-        try:
-            w = Tensor(np.random.default_rng(3).normal(size=(3,)), requires_grad=True)
-            err = finite_diff_check(lambda ps: tt.tsum(tt.mul(ps[0], ps[0])),
-                                    [w], eps=1e-3, atol=1e-5)
-            assert err < 1e-2
-        finally:
-            tt.set_default_dtype(np.float64)
-
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ConfigError):
-            tt.set_default_dtype(np.int32)
-
-
 def loop_scan(a, b):
     """Reference forward: s_t = a_t * s_{t-1} + b_t from s_0 = 0, one step at a time."""
     T, d = a.shape
