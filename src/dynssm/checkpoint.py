@@ -36,7 +36,10 @@ def save_params(path, params: Mapping[str, np.ndarray]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a container written by :func:`save_params`."""
+    """Read a container written by :func:`save_params`.
+
+    Raises ParseError on a bad header, a truncated record or a repeated name.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ParseError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
@@ -62,5 +65,7 @@ def load_params(path) -> dict[str, np.ndarray]:
             raise ParseError(f"{path}: truncated or corrupt record at byte {pos}: {e}")
         if pos > len(raw):
             raise ParseError(f"{path}: payload for {name!r} runs past end of file")
+        if name in out:
+            raise ParseError(f"{path}: duplicate record name {name!r}")
         out[name] = arr.reshape(shape).astype(np.float64)
     return out

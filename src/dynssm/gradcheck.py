@@ -234,8 +234,7 @@ def _check_encoder(seed: int):
         return lambda: gr.encode_nodes(x, params)
     s = _off_kink_seed(seed, runner)
     params, x = build(s)
-    targets = [x, params.conv_w, params.conv_b, params.proj_w,
-               params.attn["wq"], params.attn["wv"], params.attn["bo"]]
+    targets = [x, *params.named_params().values()]
     def fn(ps):
         return _weighted_sum(gr.encode_nodes(x, params), s)
     return finite_diff_check(fn, targets)

@@ -4,6 +4,13 @@ A shared node encoder (grouped temporal convolution + per-time-step
 self-attention across channels) embeds every region at every time step;
 pairwise scaled dot products of the embeddings give a symmetric adjacency
 matrix per step, which filters the raw signal.
+
+The attention's query, key and value maps act on ``h = proj(feats)``, and
+nothing non-linear sits between ``proj`` and them, so each is applied as one
+composed affine map of the ``conv_features``-wide features:
+``wq @ (proj_w f + proj_b) + bq = (wq @ proj_w) f + (wq @ proj_b + bq)``.
+This is exact up to floating-point re-association, and it runs the q/k/v
+GEMMs and their vjps ``conv_features`` wide instead of ``d_lat`` wide.
 """
 
 from __future__ import annotations
@@ -88,9 +95,14 @@ def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
     return tt.relu(feats).reshape((T, N, f))
 
 
-def _roi_attention(h: Tensor, params: NodeEncoderParams) -> Tensor:
-    """Multi-head self-attention across regions, independently per time step."""
-    T, N, d = h.shape
+def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
+    """Multi-head self-attention across regions, independently per time step.
+
+    Attends over ``h = proj(feats)``; q, k and v are computed from ``feats``
+    through ``proj`` composed with ``wq``/``wk``/``wv`` (see module docstring).
+    """
+    T, N, _ = feats.shape
+    d = params.d_lat
     heads = params.heads
     dh = d // heads
     p = params.attn
@@ -99,9 +111,13 @@ def _roi_attention(h: Tensor, params: NodeEncoderParams) -> Tensor:
         # (T, N, d) -> (T*heads, N, dh)
         return t.reshape((T, N, heads, dh)).transpose((0, 2, 1, 3)).reshape((T * heads, N, dh))
 
-    q = split(tt.linear(h, p["wq"], p["bq"]))
-    k = split(tt.linear(h, p["wk"], p["bk"]))
-    v = split(tt.linear(h, p["wv"], p["bv"]))
+    def folded(w: Tensor, b: Tensor) -> Tensor:
+        return split(tt.linear(feats, tt.matmul(w, params.proj_w),
+                               tt.matmul(w, params.proj_b) + b))
+
+    q = folded(p["wq"], p["bq"])
+    k = folded(p["wk"], p["bk"])
+    v = folded(p["wv"], p["bv"])
     scores = tt.bmm(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(dh))
     ctx = tt.bmm(tt.softmax(scores, axis=-1), v)
     merged = ctx.reshape((T, heads, N, dh)).transpose((0, 2, 1, 3)).reshape((T, N, d))
@@ -109,7 +125,13 @@ def _roi_attention(h: Tensor, params: NodeEncoderParams) -> Tensor:
 
 
 def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
-    """Embed every region at every time step: (T, N) -> (T, N, d_lat)."""
+    """Embed every region at every time step: (T, N) -> (T, N, d_lat).
+
+    ``h = proj(conv_stage(x))``, plus ``attn(h)`` when attention is enabled.
+    The attention takes its q/k/v from the conv features through the folded
+    maps, which is exact because ``proj`` is affine and nothing non-linear
+    follows it before q/k/v; ``h`` itself is formed once, for the residual.
+    """
     if x.ndim != 2:
         raise ShapeError(f"encode_nodes expects (T, N) input, got shape {x.shape}")
     T, N = x.shape
@@ -120,7 +142,7 @@ def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
     feats = conv_stage(x, params)
     h = tt.linear(feats, params.proj_w, params.proj_b)
     if params.attention_enabled:
-        h = h + _roi_attention(h, params)
+        h = h + _roi_attention(feats, params)
     return h
 
 

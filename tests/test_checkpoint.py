@@ -68,3 +68,12 @@ class TestContainerLayout:
         (tmp_path / "t2.dyns").write_bytes(raw[:-8])
         with pytest.raises(ParseError):
             load_params(tmp_path / "t2.dyns")
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        first, second = tmp_path / "a.dyns", tmp_path / "b.dyns"
+        save_params(first, {"x": np.zeros(2)})
+        save_params(second, {"x": np.ones(2)})
+        joined = tmp_path / "dup.dyns"
+        joined.write_bytes(first.read_bytes() + second.read_bytes()[8:])
+        with pytest.raises(ParseError, match="duplicate.*'x'"):
+            load_params(joined)

@@ -85,6 +85,79 @@ class TestEncodeNodes:
             make_params(d_lat=10, heads=4)
 
 
+
+def unfolded_roi_attention(h, params):
+    """Reference attention: q, k and v are linear maps of the d_lat-wide h."""
+    T, N, d = h.shape
+    heads = params.heads
+    dh = d // heads
+    p = params.attn
+
+    def split(t):
+        return t.reshape((T, N, heads, dh)).transpose((0, 2, 1, 3)).reshape((T * heads, N, dh))
+
+    q = split(tt.linear(h, p["wq"], p["bq"]))
+    k = split(tt.linear(h, p["wk"], p["bk"]))
+    v = split(tt.linear(h, p["wv"], p["bv"]))
+    scores = tt.bmm(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(dh))
+    ctx = tt.bmm(tt.softmax(scores, axis=-1), v)
+    merged = ctx.reshape((T, heads, N, dh)).transpose((0, 2, 1, 3)).reshape((T, N, d))
+    return tt.linear(merged, p["wo"], p["bo"])
+
+
+def unfolded_encode_nodes(x, params):
+    """Reference encoder: h = proj(feats), then h + attn(h) on the unfolded maps."""
+    h = tt.linear(gr.conv_stage(x, params), params.proj_w, params.proj_b)
+    if params.attention_enabled:
+        h = h + unfolded_roi_attention(h, params)
+    return h
+
+
+def encoder_out_and_grads(encode, params, x, w):
+    named = params.named_params()
+    with tt.Tape() as tape:
+        out = encode(Tensor(x), params)
+        grads = tape.backward(tt.tsum(tt.mul(out, Tensor(w))), params=list(named.values()))
+    return out.data, {k: grads[v] for k, v in named.items()}
+
+
+class TestFoldedAttention:
+    """The q/k/v maps folded through proj agree with the unfolded reference."""
+
+    @pytest.mark.parametrize("d_lat,conv_features", [(16, 4), (128, 8)])
+    def test_matches_unfolded_reference(self, d_lat, conv_features):
+        p = make_params(seed=3, d_lat=d_lat, conv_features=conv_features)
+        x = CounterRng(5).normal((128, 16))
+        w = CounterRng(7).normal((128, 16, d_lat))
+        out, grads = encoder_out_and_grads(gr.encode_nodes, p, x, w)
+        ref_out, ref_grads = encoder_out_and_grads(unfolded_encode_nodes, p, x, w)
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        # attn.bk's gradient is zero in exact arithmetic (a key bias shifts a
+        # whole score row, which softmax ignores), so the bound is absolute.
+        largest = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * largest, name
+
+    def test_attention_disabled_is_bit_identical(self):
+        p = make_params(seed=3, d_lat=16, conv_features=4, attention=False)
+        x = Tensor(CounterRng(5).normal((128, 16)))
+        assert np.array_equal(gr.encode_nodes(x, p).data, unfolded_encode_nodes(x, p).data)
+
+    def test_only_the_output_map_is_d_lat_wide(self, monkeypatch):
+        # Structural guard: q/k/v must not go back to d_lat-wide GEMMs.
+        widths = []
+        linear = tt.linear
+
+        def recording_linear(x, w, b=None):
+            widths.append(x.shape[-1])
+            return linear(x, w, b)
+
+        monkeypatch.setattr(tt, "linear", recording_linear)
+        p = make_params(d_lat=128, conv_features=8)
+        gr.encode_nodes(Tensor(CounterRng(1).normal((16, 8))), p)
+        assert sorted(widths) == [8, 8, 8, 8, 128]
+
+
 class TestInferAdjacency:
     def test_zero_embeddings(self):
         g = gr.infer_adjacency(Tensor(np.zeros((5, 4))))
