@@ -65,9 +65,10 @@ def compress_tokens(states: Tensor, params: CompressParams,
                     score_mask: Optional[np.ndarray] = None) -> BrainTokens:
     """Cross-attention pooling of (T, d_h) states into K tokens of width d_k.
 
-    Output shape is (K, d_k) regardless of T. ``uniform_attention`` is a test
-    override forcing equal weights; ``score_mask`` adds -inf-style offsets to
-    attention scores (for padding invariance checks).
+    Output shape is (K, d_k) regardless of T. ``uniform_attention`` replaces
+    the attention with the mean over time and gives one token, the meanpool
+    alignment; ``score_mask`` adds -inf-style offsets to attention scores (for
+    padding invariance checks).
     """
     if states.ndim != 2 or states.shape[0] < 1:
         raise ShapeError(f"compress_tokens expects (T, d_h) with T >= 1, got {states.shape}")
@@ -75,10 +76,7 @@ def compress_tokens(states: Tensor, params: CompressParams,
     if states.shape[1] != d_h:
         raise ShapeError(f"state width {states.shape[1]} does not match queries {d_h}")
     if uniform_attention:
-        pooled_row = states.mean(axis=0)
-        k = params.queries.shape[0]
-        pooled = tt.concat([pooled_row.reshape((1, d_h))] * k, axis=0) if k > 1 \
-            else pooled_row.reshape((1, d_h))
+        pooled = states.mean(axis=0).reshape((1, d_h))
     else:
         scores = tt.matmul(params.queries, states.T) * (1.0 / math.sqrt(d_h))
         if score_mask is not None:
@@ -167,19 +165,14 @@ class SurrogateModel:
     head_b: Tensor = None
     brain_pos: Optional[Tensor] = None             # (K, d_k) offsets, optional
     block_count: int = 2
-    lora_targets: tuple = ("q", "v")
 
     @classmethod
     def create(cls, seed: int, d_k: int = 64, heads: int = 4, vocab: int = 64,
                block_count: int = 2, max_len: int = 64, rank: int = 16,
                alpha: float = 32.0, dropout_p: float = 0.1,
-               lora_targets: Sequence[str] = ("q", "v"),
                k_tokens_for_pos: int = 0) -> "SurrogateModel":
         if d_k % heads != 0:
             raise ConfigError(f"d_k={d_k} must be divisible by heads={heads}")
-        bad = set(lora_targets) - {"q", "k", "v", "o"}
-        if bad:
-            raise ConfigError(f"unknown LoRA targets {sorted(bad)}")
         rng = CounterRng(seed).child(0xF0)
         frozen = {
             "embed": tt.init_weight(rng, (vocab, d_k), d_k, requires_grad=False),
@@ -203,9 +196,11 @@ class SurrogateModel:
         arng = CounterRng(seed).child(0xAD)
         adapters = {}
         for i in range(block_count):
-            for nm in lora_targets:
+            # Only the query and value maps adapt; the tags are their places in
+            # "qkvo", which every adapter init so far has been drawn from.
+            for nm, tag in (("q", 0), ("v", 2)):
                 adapters[f"block{i}.{nm}"] = LoraAdapter.create(
-                    arng.child(i * 8 + "qkvo".index(nm)), d_k, d_k, rank, alpha, dropout_p)
+                    arng.child(i * 8 + tag), d_k, d_k, rank, alpha, dropout_p)
         hrng = CounterRng(seed).child(0x4E)
         head_w = tt.init_weight(hrng, (2, d_k), d_k)
         head_b = Tensor(np.zeros(2), requires_grad=True)
@@ -214,7 +209,7 @@ class SurrogateModel:
             brain_pos = Tensor(np.zeros((k_tokens_for_pos, d_k)), requires_grad=True)
         return cls(d_k=d_k, heads=heads, vocab=vocab, max_len=max_len, frozen=frozen,
                    adapters=adapters, head_w=head_w, head_b=head_b, brain_pos=brain_pos,
-                   block_count=block_count, lora_targets=tuple(lora_targets))
+                   block_count=block_count)
 
     def trainable_params(self, include_adapters: bool = True) -> dict[str, Tensor]:
         out = {"head.w": self.head_w, "head.b": self.head_b}
@@ -259,8 +254,7 @@ def _mha(x: Tensor, model: SurrogateModel, block: str, training: bool,
     scores = tt.bmm(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(dh))
     ctx = tt.bmm(tt.softmax(scores, axis=-1), v)
     merged = ctx.transpose((1, 0, 2)).reshape((L, d))
-    adapter_o = model.adapters.get(f"{block}.o")
-    return lora_linear(merged, f[f"{block}.wo"], adapter_o, training=training, rng=rng)
+    return tt.linear(merged, f[f"{block}.wo"])
 
 
 def surrogate_forward(brain: Optional[BrainTokens], prompt_ids: Sequence[int],

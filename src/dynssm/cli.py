@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+from .config import _PROFILES, resolve_config
+
 USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
@@ -26,19 +28,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="dotted config override (repeatable)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="run seed (falls back to DYNS_SEED, then config)")
-    p.add_argument("--profile", choices=["paper", "desk"], default=None)
-    p.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                   help=f"BLAS thread count (default {DEFAULT_THREADS})")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.add_argument("--json", dest="json_out", action="store_true",
-                   help="machine-readable stdout")
+# The flags that several subcommands share; each subcommand adds the ones it reads.
+_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--set": dict(dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                  help="dotted config override (repeatable)"),
+    "--seed": dict(type=int, default=None,
+                   help="run seed (falls back to DYNS_SEED, then config)"),
+    "--profile": dict(choices=list(_PROFILES), default=None),
+    "--threads": dict(type=int, default=DEFAULT_THREADS,
+                      help=f"BLAS thread count (default {DEFAULT_THREADS})"),
+    "--out": dict(help="output directory"),
+    "--quiet": dict(action="store_true", help="suppress progress output"),
+    "--json": dict(dest="json_out", action="store_true", help="machine-readable stdout"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> _Parser:
@@ -46,12 +54,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-data", help="write a synthetic dataset + manifest")
-    _common_flags(p)
+    _add_flags(p, "--config", "--set", "--seed", "--threads", "--out", "--quiet", "--json")
     p.add_argument("--null", action="store_true",
                    help="null-signal dataset (identical class templates)")
 
     p = sub.add_parser("train", help="train the full pipeline")
-    _common_flags(p)
+    _add_flags(p, "--config", "--set", "--seed", "--profile", "--threads", "--out",
+               "--quiet", "--json")
     p.add_argument("--data", help="dataset manifest (default: in-memory synthetic)")
     p.add_argument("--variant", default=None, help="run variant (default: full)")
     p.add_argument("--epochs", type=int, default=None)
@@ -60,13 +69,14 @@ def build_parser() -> _Parser:
                    help="write a checkpoint after every epoch")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    _common_flags(p)
+    _add_flags(p, "--threads", "--out", "--quiet", "--json")
     p.add_argument("--run", required=True, help="run directory (config + checkpoint)")
     p.add_argument("--data", help="dataset manifest (default: run's synthetic config)")
     p.add_argument("--checkpoint", help="checkpoint override (default: final)")
 
     p = sub.add_parser("ablate", help="run the variant matrix and summarize")
-    _common_flags(p)
+    _add_flags(p, "--config", "--set", "--seed", "--profile", "--threads", "--out",
+               "--quiet", "--json")
     p.add_argument("--data", help="dataset manifest (default: in-memory synthetic)")
     p.add_argument("--variants",
                    default="full,static_graph,frozen_llm,align:meanpool,align:random,align:none",
@@ -75,19 +85,19 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=None)
 
     p = sub.add_parser("scan-bench", help="time both scan backends")
-    _common_flags(p)
+    _add_flags(p, "--config", "--set", "--seed", "--threads", "--out", "--quiet")
     p.add_argument("--lengths", default="256,512,1024,2048")
     p.add_argument("--d-h", type=int, default=32)
     p.add_argument("--repeats", type=int, default=20)
 
     p = sub.add_parser("gradcheck", help="finite-difference sweep over every op")
-    _common_flags(p)
+    _add_flags(p, "--config", "--set", "--seed", "--threads", "--quiet", "--json")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--only", help="comma-separated check names")
 
     p = sub.add_parser("report", help="aggregate run logs into plot-ready CSV")
-    _common_flags(p)
+    _add_flags(p, "--out", "--quiet")
     p.add_argument("runs", nargs="+", help="run directories containing logs.jsonl")
     return parser
 
@@ -106,12 +116,11 @@ def _pin_threads(argv: list[str]) -> None:
 
 
 def _resolve(args) -> dict:
-    from .config import resolve_config
     seed = args.seed
     if seed is None and os.environ.get("DYNS_SEED"):
         seed = int(os.environ["DYNS_SEED"])
     cfg = resolve_config(config_path=args.config, overrides=args.overrides,
-                         profile=args.profile, seed=seed)
+                         profile=getattr(args, "profile", None), seed=seed)
     cfg["threads"] = args.threads
     if getattr(args, "variant", None):
         cfg["variant"] = args.variant
@@ -152,14 +161,10 @@ def _write_resolved(cfg: dict, out_dir: Path) -> None:
 def _synth_split(cfg: dict, null: bool = False):
     from .data import default_synth_spec, null_synth_spec, split_dataset, synth_generate
     d = cfg["data"]
-    if null:
-        spec = null_synth_spec(seed=cfg["seed"], n_rois=d["n_rois"], length=d["length"],
-                               subjects_per_class=d["subjects_per_class"])
-    else:
-        spec = default_synth_spec(seed=cfg["seed"], n_rois=d["n_rois"], length=d["length"],
-                                  subjects_per_class=d["subjects_per_class"],
-                                  separation=d["separation"],
-                                  switch_rate=d["switch_rate"], noise_std=d["noise_std"])
+    make_spec = null_synth_spec if null else default_synth_spec
+    spec = make_spec(seed=cfg["seed"], n_rois=d["n_rois"], length=d["length"],
+                     subjects_per_class=d["subjects_per_class"], separation=d["separation"],
+                     switch_rate=d["switch_rate"], noise_std=d["noise_std"])
     subjects = synth_generate(spec)
     return spec, subjects, split_dataset(subjects, d["train_fraction"], seed=cfg["seed"])
 

@@ -48,7 +48,6 @@ class ModelConfig:
     lora_rank: int = 16
     lora_alpha: float = 32.0
     lora_dropout: float = 0.1
-    lora_targets: tuple = ("q", "v")
     train_adapters: bool = True
     brain_pos_offsets: bool = False
     frozen_seed: int = 20_240_001   # fixed: "frozen" must be reproducible
@@ -80,7 +79,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    variant: str = "full"
     val_fraction: float = 0.1    # carve-out of train used for model selection
 
     def validate(self) -> None:
@@ -98,9 +96,8 @@ def _field_defaults(cls, internal: tuple) -> dict:
     return {f.name: f.default for f in fields(cls) if f.name not in internal}
 
 
-_MODEL_KEYS = _field_defaults(ModelConfig, ("n_rois", "param_seed", "lora_targets",
-                                            "static_graph"))
-_TRAIN_KEYS = _field_defaults(TrainConfig, ("seed", "variant"))
+_MODEL_KEYS = _field_defaults(ModelConfig, ("n_rois", "param_seed", "static_graph"))
+_TRAIN_KEYS = _field_defaults(TrainConfig, ("seed",))
 
 _DATA_DEFAULTS = {
     "n_rois": 16,
@@ -162,10 +159,17 @@ def _parse_value(raw: str):
 
 
 def apply_override(cfg: dict, assignment: str) -> None:
-    """Apply a dotted key=value override, e.g. model.d_lat=32."""
+    """Apply a dotted key=value override, e.g. model.d_lat=32.
+
+    ``profile`` is not an override: it picks the defaults that the overrides
+    apply to, so it comes from ``--profile`` or the config file.
+    """
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
+    if dotted.strip() == "profile":
+        raise ConfigError("profile is not an override; choose it with --profile "
+                          "or the config file")
     keys = dotted.strip().split(".")
     node = cfg
     for k in keys[:-1]:
@@ -209,4 +213,4 @@ def build_model_config(cfg: dict, n_rois: int) -> ModelConfig:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(seed=cfg["seed"], variant=cfg["variant"], **cfg["train"])
+    return TrainConfig(seed=cfg["seed"], **cfg["train"])

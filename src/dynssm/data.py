@@ -10,7 +10,7 @@ from the dataset seed via the counter-based generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -264,15 +264,12 @@ def default_synth_spec(seed: int = 0, n_rois: int = 16, length: int = 128,
                      switch_rate=switch_rate, noise_std=noise_std, seed=seed)
 
 
-def null_synth_spec(seed: int = 0, n_rois: int = 16, length: int = 128,
-                    subjects_per_class: int = 40) -> SynthSpec:
-    """Both classes share the same templates: no signal to learn."""
-    templates = default_class_templates(n_rois, separation=0.5)
-    shared = [g.copy() for g in templates["ASD"]]
-    return SynthSpec(n_rois=n_rois, length=length, subjects_per_class=subjects_per_class,
-                     class_templates={"ASD": shared, "TC": [g.copy() for g in shared]},
-                     switch_rate=2.0, noise_std=0.3, seed=seed,
-                     allow_identical_classes=True)
+def null_synth_spec(**kwargs) -> SynthSpec:
+    """default_synth_spec(**kwargs) with both classes on the ASD templates: no signal."""
+    spec = default_synth_spec(**kwargs)
+    shared = spec.class_templates["ASD"]
+    return replace(spec, class_templates={"ASD": shared, "TC": [g.copy() for g in shared]},
+                   allow_identical_classes=True)
 
 
 def save_dataset(directory, subjects: list, spec: Optional[SynthSpec] = None) -> Path:

@@ -197,7 +197,6 @@ class BrainSequenceClassifier:
             seed=cfg.frozen_seed, d_k=cfg.d_k, heads=cfg.surrogate_heads,
             vocab=cfg.vocab, block_count=cfg.surrogate_blocks, max_len=cfg.context_cap,
             rank=cfg.lora_rank, alpha=cfg.lora_alpha, dropout_p=cfg.lora_dropout,
-            lora_targets=cfg.lora_targets,
             k_tokens_for_pos=cfg.k_tokens if cfg.brain_pos_offsets else 0)
         self.prompt_ids = list(range(1, cfg.prompt_len + 1))
 
@@ -218,12 +217,9 @@ class BrainSequenceClassifier:
                 feats = self.backbone.forward(filtered, backend=backend)
             else:
                 feats = self.backbone.forward(filtered)
-            if cfg.align == "tokens":
-                brain = al.compress_tokens(feats, self.compress)
-            else:  # meanpool: one token from the time-averaged features
-                pooled = feats.mean(axis=0).reshape((1, cfg.d_h))
-                brain = al.BrainTokens(z=tt.linear(pooled, self.compress.proj_w,
-                                                   self.compress.proj_b))
+            # "meanpool" gives one token: the features averaged over time
+            brain = al.compress_tokens(feats, self.compress,
+                                       uniform_attention=cfg.align == "meanpool")
         elif cfg.align == "random":
             if rng is None:
                 rng = CounterRng(0xBAD)

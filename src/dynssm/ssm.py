@@ -7,8 +7,9 @@ evaluates it with ``tensor.selective_scan``, one chunked scan that is
 differentiable and takes about 2*sqrt(T) vectorised steps forward and
 backward. The "parallel" backend is the default and uses the scan's default
 chunk; the "sequential" backend runs the same op as a single chunk, the plain
-left-to-right order, and is kept as the reference. ``scan_sequential`` is the
-plain first-block loop that the tests and the benchmark compare against.
+left-to-right order, and is kept as the reference. ``scan_sequential`` and
+``scan_parallel`` run the first block's scan alone in those two ways; the
+tests and the benchmark compare them with their own loop references.
 """
 
 from __future__ import annotations
@@ -111,19 +112,9 @@ def _first_block_rates(x_seq: np.ndarray, params: SsmParams) -> tuple[Tensor, Te
 
 
 def scan_sequential(x_seq: np.ndarray, params: SsmParams) -> SsmStateSeq:
-    """Reference backend: first-block recurrence evaluated left to right."""
+    """Reference backend: the first block's scan as one chunk, left to right."""
     a_seq, bx_seq = _first_block_rates(x_seq, params)
-    return SsmStateSeq(states=_scan_loop(a_seq.data, bx_seq.data))
-
-
-def _scan_loop(a_seq: np.ndarray, bx_seq: np.ndarray) -> np.ndarray:
-    T, d = a_seq.shape
-    states = np.empty((T, d), dtype=a_seq.dtype)
-    s = np.zeros(d, dtype=a_seq.dtype)
-    for t in range(T):
-        s = a_seq[t] * s + bx_seq[t]
-        states[t] = s
-    return states
+    return SsmStateSeq(states=tt.selective_scan(a_seq, bx_seq, chunk=a_seq.shape[0]).data)
 
 
 def scan_parallel(x_seq: np.ndarray, params: SsmParams) -> SsmStateSeq:

@@ -90,12 +90,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data)
-
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{req})"

@@ -1,13 +1,16 @@
 """CLI surface: subcommands, exit codes, run-directory artifacts."""
 
+import argparse
 import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dynssm.cli import _pin_threads, _resolve, build_parser, main
 from dynssm.config import apply_override, default_config, resolve_config
+from dynssm.data import load_dataset, null_synth_spec, synth_generate
 from dynssm.errors import ConfigError
 
 
@@ -46,6 +49,14 @@ class TestConfigLayers:
         assert paper["model"]["lora_rank"] == 16
         assert paper["train"]["learning_rate"] == 1e-4
 
+    def test_profile_is_not_an_override(self, tmp_path):
+        with pytest.raises(ConfigError, match="profile"):
+            resolve_config(overrides=["profile=paper"])
+        path = tmp_path / "c.json"
+        path.write_text('{"profile": "paper"}')
+        for cfg in (resolve_config(profile="paper"), resolve_config(config_path=path)):
+            assert cfg["profile"] == "paper" and cfg["model"]["d_lat"] == 128
+
     def test_value_parsing(self):
         cfg = default_config()
         apply_override(cfg, "model.attention_enabled=false")
@@ -75,6 +86,72 @@ class TestThreadPinning:
         _pin_threads(["train", "--threads", "2"])
         assert [os.environ.get(var) for var in THREAD_VARS] == ["2"] * 3
         assert resolved_threads("--threads", "2") == 2
+
+
+# Every long option of every subcommand. A flag joins a subcommand only when
+# its handler reads it.
+SUBCOMMAND_FLAGS = {
+    "generate-data": {"--config", "--set", "--seed", "--threads", "--out", "--quiet",
+                      "--json", "--null"},
+    "train": {"--config", "--set", "--seed", "--profile", "--threads", "--out", "--quiet",
+              "--json", "--data", "--variant", "--epochs", "--lr", "--save-epochs"},
+    "evaluate": {"--threads", "--out", "--quiet", "--json", "--run", "--data",
+                 "--checkpoint"},
+    "ablate": {"--config", "--set", "--seed", "--profile", "--threads", "--out", "--quiet",
+               "--json", "--data", "--variants", "--epochs", "--lr"},
+    "scan-bench": {"--config", "--set", "--seed", "--threads", "--out", "--quiet",
+                   "--lengths", "--d-h", "--repeats"},
+    "gradcheck": {"--config", "--set", "--seed", "--threads", "--quiet", "--json",
+                  "--seeds", "--tol", "--only"},
+    "report": {"--out", "--quiet"},
+}
+
+# Flags that no handler of the subcommand reads, with a value where one is due.
+UNREAD_FLAGS = [
+    ("generate-data", "--profile", "paper"),
+    ("evaluate", "--config", "c.json"),
+    ("evaluate", "--set", "seed=1"),
+    ("evaluate", "--seed", "1"),
+    ("evaluate", "--profile", "paper"),
+    ("scan-bench", "--profile", "paper"),
+    ("scan-bench", "--json"),
+    ("gradcheck", "--profile", "paper"),
+    ("gradcheck", "--out", "out"),
+    ("report", "--config", "c.json"),
+    ("report", "--set", "seed=1"),
+    ("report", "--seed", "1"),
+    ("report", "--profile", "paper"),
+    ("report", "--threads", "2"),
+    ("report", "--json"),
+]
+
+# Cheap arguments that each subcommand would otherwise run with.
+BASE_ARGV = {
+    "generate-data": ["--set", "data.subjects_per_class=2", "--set", "data.length=16"],
+    "evaluate": ["--run", "run"],
+    "scan-bench": ["--lengths", "8", "--repeats", "1"],
+    "gradcheck": ["--seeds", "1", "--only", "matmul"],
+    "report": ["run"],
+}
+
+
+class TestFlags:
+    def test_each_subcommand_has_exactly_its_flags(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {opt for action in p._actions for opt in action.option_strings
+                        if opt.startswith("--") and opt != "--help"}
+                 for name, p in sub.choices.items()}
+        assert found == SUBCOMMAND_FLAGS
+
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=lambda argv: f"{argv[0]}:{argv[1]}")
+    def test_unread_flag_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        command, flag, *value = argv
+        monkeypatch.chdir(tmp_path)
+        for var in THREAD_VARS:   # monkeypatch restores the environment afterwards
+            monkeypatch.delenv(var, raising=False)
+        assert run_cli(command, *BASE_ARGV[command], "--quiet", flag, *value) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -139,6 +216,23 @@ class TestGenerateData:
                        "--set", "data.length=16") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["subjects"]) == 4
+
+    def test_null_dataset_takes_the_data_settings(self, tmp_path):
+        out = tmp_path / "null"
+        assert run_cli("generate-data", "--null", "--seed", "1", "--out", str(out),
+                       "--quiet", "--set", "data.subjects_per_class=2",
+                       "--set", "data.length=16", "--set", "data.noise_std=0.9",
+                       "--set", "data.switch_rate=0", "--set", "data.separation=1.0") == 0
+        generator = json.loads((out / "manifest.json").read_text())["generator"]
+        assert generator["noise_std"] == 0.9 and generator["switch_rate"] == 0
+        # The manifest has no separation field, so the data itself shows it.
+        expected = synth_generate(null_synth_spec(
+            seed=1, subjects_per_class=2, length=16, noise_std=0.9, switch_rate=0,
+            separation=1.0))
+        written = load_dataset(out / "manifest.json")
+        assert [s.subject_id for s in written] == [s.subject_id for s in expected]
+        for got, want in zip(written, expected):
+            np.testing.assert_array_equal(got.values, want.values)
 
 
 @pytest.mark.slow
