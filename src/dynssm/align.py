@@ -67,8 +67,9 @@ def compress_tokens(states: Tensor, params: CompressParams,
 
     Output shape is (K, d_k) regardless of T. ``uniform_attention`` replaces
     the attention with the mean over time and gives one token, the meanpool
-    alignment; ``score_mask`` adds -inf-style offsets to attention scores (for
-    padding invariance checks).
+    alignment; ``score_mask``, a finite (K, T) array, is added to the
+    attention scores, so large negative entries mask states out (for padding
+    invariance checks).
     """
     if states.ndim != 2 or states.shape[0] < 1:
         raise ShapeError(f"compress_tokens expects (T, d_h) with T >= 1, got {states.shape}")
@@ -78,11 +79,11 @@ def compress_tokens(states: Tensor, params: CompressParams,
     if uniform_attention:
         pooled = states.mean(axis=0).reshape((1, d_h))
     else:
-        scores = tt.matmul(params.queries, states.T) * (1.0 / math.sqrt(d_h))
-        if score_mask is not None:
-            scores = scores + Tensor(score_mask)
-        attn = tt.softmax(scores, axis=-1)
-        pooled = tt.matmul(attn, states)
+        mask = None if score_mask is None else Tensor(score_mask).data   # rejects NaN/Inf
+        queries = params.queries.reshape((1, *params.queries.shape))
+        seq = states.reshape((1, *states.shape))
+        pooled = tt.attention(queries, seq, seq, 1.0 / math.sqrt(d_h), mask)
+        pooled = pooled.reshape(params.queries.shape)
     return BrainTokens(z=tt.linear(pooled, params.proj_w, params.proj_b))
 
 
@@ -251,8 +252,7 @@ def _mha(x: Tensor, model: SurrogateModel, block: str, training: bool,
         return t.reshape((L, heads, dh)).transpose((1, 0, 2))
 
     q, k, v = split(project("q")), split(project("k")), split(project("v"))
-    scores = tt.bmm(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(dh))
-    ctx = tt.bmm(tt.softmax(scores, axis=-1), v)
+    ctx = tt.attention(q, k, v, 1.0 / math.sqrt(dh))
     merged = ctx.transpose((1, 0, 2)).reshape((L, d))
     return tt.linear(merged, f[f"{block}.wo"])
 

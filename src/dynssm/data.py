@@ -56,6 +56,7 @@ class SynthSpec:
     noise_std: float = 0.3
     seed: int = 0
     allow_identical_classes: bool = False   # explicit opt-in for null-signal data
+    separation: Optional[float] = None      # set when the templates are the default ones
 
     def validate(self) -> None:
         if self.n_rois < 2 or self.length < 2 or self.subjects_per_class < 1:
@@ -261,7 +262,8 @@ def default_synth_spec(seed: int = 0, n_rois: int = 16, length: int = 128,
     """The planted regime-switching dataset used by benchmarks and tests."""
     return SynthSpec(n_rois=n_rois, length=length, subjects_per_class=subjects_per_class,
                      class_templates=default_class_templates(n_rois, separation),
-                     switch_rate=switch_rate, noise_std=noise_std, seed=seed)
+                     switch_rate=switch_rate, noise_std=noise_std, seed=seed,
+                     separation=separation)
 
 
 def null_synth_spec(**kwargs) -> SynthSpec:
@@ -287,7 +289,7 @@ def save_dataset(directory, subjects: list, spec: Optional[SynthSpec] = None) ->
             "n_rois": spec.n_rois, "length": spec.length,
             "subjects_per_class": spec.subjects_per_class,
             "switch_rate": spec.switch_rate, "noise_std": spec.noise_std,
-            "seed": spec.seed,
+            "seed": spec.seed, "separation": spec.separation,
         }
     path = directory / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -112,6 +112,17 @@ def _check_softmax(seed: int, log_mode: bool = False):
     return finite_diff_check(lambda ps: _weighted_sum(op(ps[0], axis=-1), seed), [p])
 
 
+def _check_attention(seed: int):
+    q = Tensor(_rand(seed, (2, 3, 4)), requires_grad=True)
+    k = Tensor(_rand(seed + 1, (2, 5, 4)), requires_grad=True)
+    v = Tensor(_rand(seed + 2, (2, 5, 3)), requires_grad=True)
+    mask = _rand(seed + 3, (3, 5), -2.0, 0.0)
+    def fn(ps):
+        return _weighted_sum(tt.attention(*ps, 0.5), seed) + \
+               _weighted_sum(tt.attention(*ps, 0.5, mask), seed + 1)
+    return finite_diff_check(fn, [q, k, v])
+
+
 def _check_layer_norm(seed: int):
     x = Tensor(_rand(seed, (3, 6)), requires_grad=True)
     g = Tensor(_rand(seed + 1, (6,), 0.5, 1.5), requires_grad=True)
@@ -316,6 +327,7 @@ CHECKS: dict[str, Callable[[int], float]] = {
     "linear": _check_linear,
     "softmax": lambda s: _check_softmax(s),
     "log_softmax": lambda s: _check_softmax(s, log_mode=True),
+    "attention": _check_attention,
     "layer_norm": _check_layer_norm,
     "embedding": _check_embedding,
     "grouped_conv1d": lambda s: _check_conv(s, shared=False),

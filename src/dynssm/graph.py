@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -118,8 +117,7 @@ def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
     q = folded(p["wq"], p["bq"])
     k = folded(p["wk"], p["bk"])
     v = folded(p["wv"], p["bv"])
-    scores = tt.bmm(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(dh))
-    ctx = tt.bmm(tt.softmax(scores, axis=-1), v)
+    ctx = tt.attention(q, k, v, 1.0 / math.sqrt(dh))
     merged = ctx.reshape((T, heads, N, dh)).transpose((0, 2, 1, 3)).reshape((T, N, d))
     return tt.linear(merged, p["wo"], p["bo"])
 
@@ -164,7 +162,7 @@ def graph_filter(g_t: Tensor, x_t: Tensor, mode: str = "row_normalized") -> Tens
     if mode == "raw":
         return tt.matmul(g_t, x_t)
     if mode == "row_normalized":
-        return tt.matmul(tt.softmax_rows(g_t), x_t)
+        return tt.matmul(tt.softmax(g_t, axis=-1), x_t)
     raise ConfigError(f"unknown filter mode {mode!r}")
 
 
@@ -190,22 +188,8 @@ def static_filter(x: Tensor, g_seq: Tensor, mode: str = "row_normalized") -> Ten
     """Filter every step through the time-averaged adjacency (ablation path)."""
     g_bar = g_seq.mean(axis=0)
     if mode == "row_normalized":
-        g_bar = tt.softmax_rows(g_bar)
+        g_bar = tt.softmax(g_bar, axis=-1)
     elif mode != "raw":
         raise ConfigError(f"unknown filter mode {mode!r}")
     return tt.matmul(x, g_bar.T)
 
-
-def dump_adjacency_csv(g_seq: np.ndarray, out_dir) -> list[Path]:
-    """Debug dump: one CSV per time step, columns roi_0..roi_{N-1}."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    g_seq = np.asarray(g_seq)
-    header = ",".join(f"roi_{i}" for i in range(g_seq.shape[-1]))
-    paths = []
-    for t in range(g_seq.shape[0]):
-        path = out_dir / f"adjacency_{t:04d}.csv"
-        rows = "\n".join(",".join(repr(float(v)) for v in row) for row in g_seq[t])
-        path.write_text(header + "\n" + rows + "\n")
-        paths.append(path)
-    return paths

@@ -109,8 +109,7 @@ class _TransformerBackbone:
         def split(t):
             return t.reshape((T, heads, dh)).transpose((1, 0, 2))
         q, k, v = (split(tt.linear(h, getattr(self, nm))) for nm in ("wq", "wk", "wv"))
-        scores = tt.bmm(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(dh))
-        ctx = tt.bmm(tt.softmax(scores, axis=-1), v)
+        ctx = tt.attention(q, k, v, 1.0 / math.sqrt(dh))
         h = h + tt.linear(ctx.transpose((1, 0, 2)).reshape((T, d_h)), self.wo)
         return h + tt.linear(tt.relu(tt.linear(h, self.w_ff1, self.b_ff1)),
                              self.w_ff2, self.b_ff2)

@@ -562,27 +562,92 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 # --- normalizations ---
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(-1, keepdims=True)``, bit for bit, by pairwise maxima over halves.
+
+    numpy reduces a short last axis one row at a time; a few elementwise
+    maxima over half-width views are faster.
+    """
+    n = x.shape[-1]
+    while n > 1:
+        h = n // 2
+        top = np.maximum(x[..., :h], x[..., h:2 * h])
+        if n % 2:
+            top[..., :1] = np.maximum(top[..., :1], x[..., 2 * h:])
+        x, n = top, h
+    return x
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keepdims, as one GEMV against ones."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis`` (row-max subtracted)."""
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._wrap(y)
+    x = np.moveaxis(a.data, axis, -1)
+    y = x - _row_max(x)
+    np.exp(y, out=y)
+    y /= _row_sum(y)
+    out = Tensor._wrap(np.moveaxis(y, -1, axis))
     tape = _recording(a)
     if tape is not None:
         def vjp(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            return ((g - dot) * y,)
+            g = np.moveaxis(g, axis, -1)
+            return (np.moveaxis((g - _row_sum(g * y)) * y, -1, axis),)
         tape._record(out, (a,), vjp)
     return out
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the rows of a 2-D tensor; each output row sums to 1."""
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D tensor, got shape {a.shape}")
-    return softmax(a, axis=-1)
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: Optional[np.ndarray] = None) -> Tensor:
+    """Batched scaled dot-product attention as one tape node.
+
+    ``q`` is (B, m, d), ``k`` is (B, n, d) and ``v`` is (B, n, dv); the output
+    is softmax(q kᵀ·scale + mask) v, (B, m, dv). ``mask`` is a constant (m, n)
+    array added to every batch's scores. The forward keeps E = exp(S - max),
+    its row sums l and the output O; the backward is FlashAttention's
+    (Dao et al. 2022): with G = dO / l, dV = Eᵀ G and
+    dS = E ⊙ (G vᵀ - rowsum(G ⊙ O)) · scale, so no (B, m, n) probabilities
+    are formed and the row sum runs over dv, not over n.
+    """
+    if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or not q.shape[0] == k.shape[0] == v.shape[0]
+            or q.shape[2] != k.shape[2] or k.shape[1] != v.shape[1]):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} must be "
+                         "(B,m,d), (B,n,d) and (B,n,dv)")
+    qd, kd, vd = q.data, k.data, v.data
+    e = qd @ np.ascontiguousarray(kd.transpose(0, 2, 1))
+    e *= scale
+    if mask is not None:
+        if mask.shape != e.shape[1:]:
+            raise ShapeError(f"attention: mask {mask.shape} does not match scores {e.shape}")
+        e += mask
+    e -= _row_max(e)
+    np.exp(e, out=e)
+    norm = _row_sum(e)
+    o = e @ vd
+    o /= norm
+    out = Tensor._wrap(o)
+    tape = _recording(q, k, v)
+    if tape is not None:
+        def vjp(g):
+            gq = gk = gv = None
+            gl = g / norm
+            if v.requires_grad:
+                gv = e.transpose(0, 2, 1) @ gl
+            if q.requires_grad or k.requires_grad:
+                ds = gl @ vd.transpose(0, 2, 1)
+                ds -= _row_sum(gl * o)
+                ds *= e
+                ds *= scale
+                if q.requires_grad:
+                    gq = ds @ kd
+                if k.requires_grad:
+                    gk = ds.transpose(0, 2, 1) @ qd
+            return (gq, gk, gv)
+        tape._record(out, (q, k, v), vjp)
+    return out
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -729,18 +794,15 @@ def scaled_self_outer(h: Tensor) -> Tensor:
     d = h.shape[-1]
     scale = 1.0 / math.sqrt(d)
     hd = h.data
-    if h.ndim == 2:
-        raw = (hd @ hd.T) * scale
-    else:
-        raw = (hd @ hd.transpose(0, 2, 1)) * scale
-    upper = np.triu(raw)
-    strict = np.triu(raw, 1)
-    sym = upper + (strict.transpose(0, 2, 1) if h.ndim == 3 else strict.T)
-    out = Tensor._wrap(np.ascontiguousarray(sym))
+    raw = hd @ np.swapaxes(hd, -1, -2)
+    raw *= scale
+    n = h.shape[-2]
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    out = Tensor._wrap(np.where(upper, raw, np.swapaxes(raw, -1, -2)))
     tape = _recording(h)
     if tape is not None:
         def vjp(g):
-            gs = g + (g.transpose(0, 2, 1) if g.ndim == 3 else g.T)
+            gs = g + np.swapaxes(g, -1, -2)
             return ((gs @ hd) * scale,)
         tape._record(out, (h,), vjp)
     return out

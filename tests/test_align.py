@@ -7,7 +7,7 @@ import pytest
 
 from dynssm import align as al
 from dynssm import tensor as tt
-from dynssm.errors import ConfigError, LengthError, ShapeError
+from dynssm.errors import ConfigError, LengthError, NumericsError, ShapeError
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tape, Tensor
 
@@ -64,6 +64,13 @@ class TestCompressTokens:
         mask[:, 6:] = -1e30
         out = al.compress_tokens(Tensor(padded), cp, score_mask=mask).z.data
         assert np.allclose(base, out, atol=1e-12)
+
+    def test_non_finite_mask_rejected(self):
+        cp = al.CompressParams.create(CounterRng(11), d_h=5, d_k=4, k_tokens=2)
+        mask = np.zeros((2, 6))
+        mask[0, 3] = -np.inf
+        with pytest.raises(NumericsError, match="NaN or Inf"):
+            al.compress_tokens(Tensor(CounterRng(12).normal((6, 5))), cp, score_mask=mask)
 
     def test_empty_states_rejected(self):
         cp = al.CompressParams.create(CounterRng(10), d_h=5, d_k=4, k_tokens=2)

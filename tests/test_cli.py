@@ -225,7 +225,7 @@ class TestGenerateData:
                        "--set", "data.switch_rate=0", "--set", "data.separation=1.0") == 0
         generator = json.loads((out / "manifest.json").read_text())["generator"]
         assert generator["noise_std"] == 0.9 and generator["switch_rate"] == 0
-        # The manifest has no separation field, so the data itself shows it.
+        assert generator["separation"] == 1.0
         expected = synth_generate(null_synth_spec(
             seed=1, subjects_per_class=2, length=16, noise_std=0.9, switch_rate=0,
             separation=1.0))

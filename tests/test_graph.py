@@ -7,7 +7,6 @@ import pytest
 
 from dynssm import graph as gr
 from dynssm import tensor as tt
-from dynssm.data import load_roi_csv
 from dynssm.errors import ConfigError, ShapeError
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tensor
@@ -274,13 +273,3 @@ class TestStaticFilter:
         g_bar = seq.adjacency.data.mean(axis=0)
         for t in range(9):
             assert np.allclose(out[t], g_bar @ x[t], atol=1e-12)
-
-
-class TestAdjacencyDump:
-    def test_csv_round_trip(self, tmp_path):
-        g = np.random.default_rng(12).normal(size=(3, 4, 4))
-        paths = gr.dump_adjacency_csv(g, tmp_path)
-        assert len(paths) == 3
-        for t, path in enumerate(paths):
-            loaded = load_roi_csv(path)
-            assert np.array_equal(loaded.values, g[t])

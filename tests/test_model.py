@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dynssm import tensor as tt
 from dynssm.errors import ConfigError
 from dynssm.model import BrainSequenceClassifier, ModelConfig
 from dynssm.rng import CounterRng
@@ -124,3 +125,14 @@ class TestForwardModes:
         x = CounterRng(4).normal((12, 8))
         out = model.forward(x, training=True)
         assert out.shape == (2,)
+
+    def test_every_attention_site_is_one_attention_node(self):
+        # Encoder, token compression and two surrogate blocks: four attention
+        # nodes, and no attention left composed from bmm nodes.
+        model = BrainSequenceClassifier(ModelConfig.desk())
+        assert model.cfg.backbone == "mamba" and model.cfg.surrogate_blocks == 2
+        with tt.Tape() as tape:
+            model.forward(CounterRng(5).normal((32, 16)))
+        names = [node.vjp.__qualname__ for node in tape.nodes]
+        assert sum(name.startswith("attention.") for name in names) == 4
+        assert not any(name.startswith("bmm.") for name in names)

@@ -1,5 +1,7 @@
 """Core tensor / autodiff engine tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,32 +127,105 @@ class TestGroupedConv1d:
 
 
 class TestSoftmaxRows:
+    """``tt.softmax`` over the last axis: pairwise row max, GEMV row sum."""
+
     def test_symmetry(self):
-        out = tt.softmax_rows(Tensor([[0.0, 0.0]]))
+        out = tt.softmax(Tensor([[0.0, 0.0]]), axis=-1)
         assert np.array_equal(out.data, [[0.5, 0.5]])
 
     def test_large_values_stabilized(self):
-        out = tt.softmax_rows(Tensor([[1000.0, 1000.0]]))
+        out = tt.softmax(Tensor([[1000.0, 1000.0]]), axis=-1)
         assert np.array_equal(out.data, [[0.5, 0.5]])
 
     def test_direct_formula_oracle(self):
         row = np.array([[1.0, 2.0, 3.0]])
         ref = np.exp(row) / np.exp(row).sum()
-        out = tt.softmax_rows(Tensor(row)).data
+        out = tt.softmax(Tensor(row), axis=-1).data
         assert np.max(np.abs(out - ref)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_sum_to_one_and_shift_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 6)) * 10
-        out = tt.softmax_rows(Tensor(x)).data
+        out = tt.softmax(Tensor(x), axis=-1).data
         assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
-        shifted = tt.softmax_rows(Tensor(x + rng.normal() * np.ones((4, 6)))).data
+        shifted = tt.softmax(Tensor(x + rng.normal() * np.ones((4, 6))), axis=-1).data
         assert np.allclose(out, shifted, atol=1e-12)
 
-    def test_requires_2d(self):
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 16, 128])
+    def test_row_max_is_numpy_max(self, n):
+        x = np.random.default_rng(n).normal(size=(5, 3, n))
+        assert np.array_equal(tt._row_max(x), x.max(axis=-1, keepdims=True))
+
+    def test_leading_axis_matches_transposed_rows(self):
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        w = np.random.default_rng(5).normal(size=(5, 3))
+        a, b = Tensor(x, requires_grad=True), Tensor(x.T.copy(), requires_grad=True)
+        with Tape() as tape:
+            out_a = tt.softmax(a, axis=0)
+            ga = tape.backward(tt.tsum(out_a * Tensor(w)))[a]
+        with Tape() as tape:
+            out_b = tt.softmax(b, axis=-1)
+            gb = tape.backward(tt.tsum(out_b * Tensor(w.T.copy())))[b]
+        assert np.max(np.abs(out_a.data - out_b.data.T)) < 1e-15
+        assert np.max(np.abs(ga - gb.T)) < 1e-15
+
+
+def composed_attention(q, k, v, scale, mask=None):
+    """Reference: the bmm / scale / softmax / bmm composition, one node each."""
+    scores = tt.bmm(q, k.transpose((0, 2, 1))) * scale
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    return tt.bmm(tt.softmax(scores, axis=-1), v)
+
+
+def attention_out_and_grads(op, shapes, mask, seed):
+    rng = np.random.default_rng(seed)
+    qkv = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    (B, m, d), _, (_, _, dv) = shapes
+    w = Tensor(rng.normal(size=(B, m, dv)))
+    with Tape() as tape:
+        out = op(*qkv, 1.0 / math.sqrt(d), mask)
+        grads = tape.backward(tt.tsum(out * w))
+    return out.data, [grads[t] for t in qkv]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("B,m,n,d,dv,masked", [
+        (512, 16, 16, 4, 4, False),     # ROI attention at desk width, T=128
+        (8, 16, 16, 32, 32, False),     # ROI attention at paper width
+        (1, 8, 128, 32, 32, True),      # token compression: one head, masked
+        (3, 5, 7, 4, 6, True),          # value width differs from key width
+    ])
+    def test_matches_composed_reference(self, B, m, n, d, dv, masked):
+        mask = None
+        if masked:
+            mask = np.zeros((m, n))
+            mask[:, n // 2:] = -1e30
+            mask[0, 1] = 0.7
+        shapes = [(B, m, d), (B, n, d), (B, n, dv)]
+        out, grads = attention_out_and_grads(tt.attention, shapes, mask, seed=n + d)
+        ref, ref_grads = attention_out_and_grads(composed_attention, shapes, mask, seed=n + d)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for name, g, want in zip("qkv", grads, ref_grads):
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            tt.attention(q, k, v, 0.5)
+        assert len(tape.nodes) == 1
+
+    def test_shapes_checked(self):
+        x = Tensor(np.zeros((2, 3, 4)))
         with pytest.raises(ShapeError):
-            tt.softmax_rows(Tensor(np.zeros(3)))
+            tt.attention(x, Tensor(np.zeros((2, 3, 5))), x, 1.0)
+        with pytest.raises(ShapeError):
+            tt.attention(x, x, Tensor(np.zeros((2, 4, 4))), 1.0)
+        with pytest.raises(ShapeError, match="mask"):
+            tt.attention(x, x, x, 1.0, np.zeros((3, 4)))
 
 
 class TestBackward:
@@ -444,3 +519,13 @@ class TestScaledSelfOuter:
             for j in range(6):
                 ref[i, j] = np.dot(h[i], h[j]) / np.sqrt(8)
         assert np.max(np.abs(g - ref)) < 1e-12
+
+    @pytest.mark.parametrize("T", [1, 128, 2048])
+    def test_mirror_matches_triu_sum_and_is_symmetric(self, T):
+        h = np.random.default_rng(T).normal(size=(T, 16, 16))
+        g = tt.scaled_self_outer(Tensor(h)).data
+        raw = (h @ h.transpose(0, 2, 1)) * 0.25
+        old = np.triu(raw) + np.triu(raw, 1).transpose(0, 2, 1)
+        assert np.array_equal(g, old)
+        assert np.array_equal(g, g.transpose(0, 2, 1))
+        assert g.flags.c_contiguous
