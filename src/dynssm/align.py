@@ -80,10 +80,7 @@ def compress_tokens(states: Tensor, params: CompressParams,
         pooled = states.mean(axis=0).reshape((1, d_h))
     else:
         mask = None if score_mask is None else Tensor(score_mask).data   # rejects NaN/Inf
-        queries = params.queries.reshape((1, *params.queries.shape))
-        seq = states.reshape((1, *states.shape))
-        pooled = tt.attention(queries, seq, seq, 1.0 / math.sqrt(d_h), mask)
-        pooled = pooled.reshape(params.queries.shape)
+        pooled = tt.attention(params.queries, states, states, 1.0 / math.sqrt(d_h), mask)
     return BrainTokens(z=tt.linear(pooled, params.proj_w, params.proj_b))
 
 
@@ -239,22 +236,15 @@ class SurrogateModel:
 
 def _mha(x: Tensor, model: SurrogateModel, block: str, training: bool,
          rng: Optional[CounterRng]) -> Tensor:
-    L, d = x.shape
-    heads = model.heads
-    dh = d // heads
     f = model.frozen
 
     def project(nm: str) -> Tensor:
         adapter = model.adapters.get(f"{block}.{nm}")
         return lora_linear(x, f[f"{block}.w{nm}"], adapter, training=training, rng=rng)
 
-    def split(t: Tensor) -> Tensor:
-        return t.reshape((L, heads, dh)).transpose((1, 0, 2))
-
-    q, k, v = split(project("q")), split(project("k")), split(project("v"))
-    ctx = tt.attention(q, k, v, 1.0 / math.sqrt(dh))
-    merged = ctx.transpose((1, 0, 2)).reshape((L, d))
-    return tt.linear(merged, f[f"{block}.wo"])
+    ctx = tt.attention(project("q"), project("k"), project("v"),
+                       1.0 / math.sqrt(x.shape[1] // model.heads), heads=model.heads)
+    return tt.linear(ctx, f[f"{block}.wo"])
 
 
 def surrogate_forward(brain: Optional[BrainTokens], prompt_ids: Sequence[int],

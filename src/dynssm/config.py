@@ -20,6 +20,7 @@ from .errors import ConfigError
 
 BACKBONES = ("mamba", "s4", "gru", "tcn", "transformer")
 ALIGN_MODES = ("tokens", "meanpool", "random", "none")
+FILTER_MODES = ("raw", "row_normalized")
 
 
 @dataclass
@@ -58,8 +59,8 @@ class ModelConfig:
             raise ConfigError(f"unknown backbone {self.backbone!r}; options: {BACKBONES}")
         if self.align not in ALIGN_MODES:
             raise ConfigError(f"unknown align mode {self.align!r}; options: {ALIGN_MODES}")
-        if self.filter_mode not in ("raw", "row_normalized"):
-            raise ConfigError(f"unknown filter mode {self.filter_mode!r}")
+        if self.filter_mode not in FILTER_MODES:
+            raise ConfigError(f"unknown filter mode {self.filter_mode!r}; options: {FILTER_MODES}")
         if self.prompt_len < 1 or self.prompt_len >= self.vocab:
             raise ConfigError("prompt_len must be in [1, vocab)")
 

@@ -113,13 +113,16 @@ def _check_softmax(seed: int, log_mode: bool = False):
 
 
 def _check_attention(seed: int):
+    # one head, then masked, then two heads (dv != d), then with no batch axis
     q = Tensor(_rand(seed, (2, 3, 4)), requires_grad=True)
     k = Tensor(_rand(seed + 1, (2, 5, 4)), requires_grad=True)
-    v = Tensor(_rand(seed + 2, (2, 5, 3)), requires_grad=True)
+    v = Tensor(_rand(seed + 2, (2, 5, 6)), requires_grad=True)
     mask = _rand(seed + 3, (3, 5), -2.0, 0.0)
     def fn(ps):
         return _weighted_sum(tt.attention(*ps, 0.5), seed) + \
-               _weighted_sum(tt.attention(*ps, 0.5, mask), seed + 1)
+               _weighted_sum(tt.attention(*ps, 0.5, mask), seed + 1) + \
+               _weighted_sum(tt.attention(*ps, 0.5, heads=2), seed + 2) + \
+               _weighted_sum(tt.attention(*(p[1] for p in ps), 0.5, heads=2), seed + 3)
     return finite_diff_check(fn, [q, k, v])
 
 

@@ -11,6 +11,10 @@ composed affine map of the ``conv_features``-wide features:
 ``wq @ (proj_w f + proj_b) + bq = (wq @ proj_w) f + (wq @ proj_b + bq)``.
 This is exact up to floating-point re-association, and it runs the q/k/v
 GEMMs and their vjps ``conv_features`` wide instead of ``d_lat`` wide.
+
+Each attention head is a block of ``d_lat // heads`` adjacent columns of q,
+k and v; ``tt.attention`` splits and merges the heads inside its one tape
+node, with the T steps as its batch axis.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tt
+from .config import FILTER_MODES
 from .errors import ConfigError, ShapeError
 from .rng import CounterRng
 from .tensor import Tensor
@@ -99,27 +104,19 @@ def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
 
     Attends over ``h = proj(feats)``; q, k and v are computed from ``feats``
     through ``proj`` composed with ``wq``/``wk``/``wv`` (see module docstring).
+    They stay (T, N, d_lat): head h is columns h·dh to (h+1)·dh, and the
+    heads' outputs come back side by side in the same columns, for ``wo``.
     """
-    T, N, _ = feats.shape
-    d = params.d_lat
     heads = params.heads
-    dh = d // heads
     p = params.attn
 
-    def split(t: Tensor) -> Tensor:
-        # (T, N, d) -> (T*heads, N, dh)
-        return t.reshape((T, N, heads, dh)).transpose((0, 2, 1, 3)).reshape((T * heads, N, dh))
-
     def folded(w: Tensor, b: Tensor) -> Tensor:
-        return split(tt.linear(feats, tt.matmul(w, params.proj_w),
-                               tt.matmul(w, params.proj_b) + b))
+        return tt.linear(feats, tt.matmul(w, params.proj_w), tt.matmul(w, params.proj_b) + b)
 
-    q = folded(p["wq"], p["bq"])
-    k = folded(p["wk"], p["bk"])
-    v = folded(p["wv"], p["bv"])
-    ctx = tt.attention(q, k, v, 1.0 / math.sqrt(dh))
-    merged = ctx.reshape((T, heads, N, dh)).transpose((0, 2, 1, 3)).reshape((T, N, d))
-    return tt.linear(merged, p["wo"], p["bo"])
+    ctx = tt.attention(folded(p["wq"], p["bq"]), folded(p["wk"], p["bk"]),
+                       folded(p["wv"], p["bv"]), 1.0 / math.sqrt(params.d_lat // heads),
+                       heads=heads)
+    return tt.linear(ctx, p["wo"], p["bo"])
 
 
 def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
@@ -151,19 +148,22 @@ def infer_adjacency(h_t: Tensor) -> Tensor:
     return tt.scaled_self_outer(h_t)
 
 
-def graph_filter(g_t: Tensor, x_t: Tensor, mode: str = "row_normalized") -> Tensor:
-    """Filter one step's signal through its graph.
+def _filter_weights(g: Tensor, mode: str) -> Tensor:
+    """The weights a signal is filtered through, per row of the adjacency.
 
-    ``raw`` multiplies by the adjacency as-is; ``row_normalized`` first
-    softmax-normalizes each row (bounded output scale, stable training).
+    ``raw`` is the adjacency as-is; ``row_normalized`` is its softmax along
+    each row (bounded output scale, stable training).
     """
+    if mode not in FILTER_MODES:
+        raise ConfigError(f"unknown filter mode {mode!r}; options: {FILTER_MODES}")
+    return g if mode == "raw" else tt.softmax(g, axis=-1)
+
+
+def graph_filter(g_t: Tensor, x_t: Tensor, mode: str = "row_normalized") -> Tensor:
+    """Filter one step's signal through its graph's ``_filter_weights``."""
     if g_t.ndim != 2 or g_t.shape[0] != g_t.shape[1] or x_t.shape != (g_t.shape[0],):
         raise ShapeError(f"graph_filter: adjacency {g_t.shape} does not match signal {x_t.shape}")
-    if mode == "raw":
-        return tt.matmul(g_t, x_t)
-    if mode == "row_normalized":
-        return tt.matmul(tt.softmax(g_t, axis=-1), x_t)
-    raise ConfigError(f"unknown filter mode {mode!r}")
+    return tt.matmul(_filter_weights(g_t, mode), x_t)
 
 
 def encode_sequence(x: Tensor, params: NodeEncoderParams,
@@ -175,21 +175,10 @@ def encode_sequence(x: Tensor, params: NodeEncoderParams,
     """
     h = encode_nodes(x, params)
     g_seq = tt.scaled_self_outer(h)
-    if mode == "raw":
-        filtered = tt.bmv(g_seq, x)
-    elif mode == "row_normalized":
-        filtered = tt.bmv(tt.softmax(g_seq, axis=-1), x)
-    else:
-        raise ConfigError(f"unknown filter mode {mode!r}")
+    filtered = tt.bmv(_filter_weights(g_seq, mode), x)
     return DynGraphSequence(adjacency=g_seq, filtered=filtered, embeddings=h)
 
 
 def static_filter(x: Tensor, g_seq: Tensor, mode: str = "row_normalized") -> Tensor:
     """Filter every step through the time-averaged adjacency (ablation path)."""
-    g_bar = g_seq.mean(axis=0)
-    if mode == "row_normalized":
-        g_bar = tt.softmax(g_bar, axis=-1)
-    elif mode != "raw":
-        raise ConfigError(f"unknown filter mode {mode!r}")
-    return tt.matmul(x, g_bar.T)
-
+    return tt.matmul(x, _filter_weights(g_seq.mean(axis=0), mode).T)

@@ -104,13 +104,9 @@ class _TransformerBackbone:
         T = x.shape[0]
         d_h = self.w_in.shape[0]
         h = tt.linear(x, self.w_in, self.b_in) + Tensor._wrap(_sinusoidal(T, d_h))
-        heads = self.heads
-        dh = d_h // heads
-        def split(t):
-            return t.reshape((T, heads, dh)).transpose((1, 0, 2))
-        q, k, v = (split(tt.linear(h, getattr(self, nm))) for nm in ("wq", "wk", "wv"))
-        ctx = tt.attention(q, k, v, 1.0 / math.sqrt(dh))
-        h = h + tt.linear(ctx.transpose((1, 0, 2)).reshape((T, d_h)), self.wo)
+        q, k, v = (tt.linear(h, getattr(self, nm)) for nm in ("wq", "wk", "wv"))
+        ctx = tt.attention(q, k, v, 1.0 / math.sqrt(d_h // self.heads), heads=self.heads)
+        h = h + tt.linear(ctx, self.wo)
         return h + tt.linear(tt.relu(tt.linear(h, self.w_ff1, self.b_ff1)),
                              self.w_ff2, self.b_ff2)
 

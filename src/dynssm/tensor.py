@@ -600,51 +600,71 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              mask: Optional[np.ndarray] = None) -> Tensor:
-    """Batched scaled dot-product attention as one tape node.
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """View (..., L, H·w) as (..., H, L, w): head h is columns h·w to (h+1)·w."""
+    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -2, -3)
 
-    ``q`` is (B, m, d), ``k`` is (B, n, d) and ``v`` is (B, n, dv); the output
-    is softmax(q kᵀ·scale + mask) v, (B, m, dv). ``mask`` is a constant (m, n)
-    array added to every batch's scores. The forward keeps E = exp(S - max),
-    its row sums l and the output O; the backward is FlashAttention's
-    (Dao et al. 2022): with G = dO / l, dV = Eᵀ G and
-    dS = E ⊙ (G vᵀ - rowsum(G ⊙ O)) · scale, so no (B, m, n) probabilities
-    are formed and the row sum runs over dv, not over n.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: Optional[np.ndarray] = None, heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q`` is (..., m, H·d), ``k`` (..., n, H·d) and ``v`` (..., n, H·dv), with
+    H = ``heads`` and an optional leading batch axis; the output is
+    (..., m, H·dv). Head h is columns h·d to (h+1)·d of q and k and h·dv to
+    (h+1)·dv of v and the output: softmax(q kᵀ·scale + mask) v, with ``mask``
+    a constant (m, n) array. Heads are views, and products are written
+    through views into (..., L, H·w) arrays, so no head-major copy of q, k or
+    v is kept (kᵀ alone is copied, for the score product).
+
+    The forward keeps E = exp(S - max), its row sums l and O; the backward
+    is FlashAttention's (Dao et al. 2022): with G = dO / l, dV = Eᵀ G and
+    dS = E ⊙ (G vᵀ - rowsum(G ⊙ O)) · scale, so no probabilities are formed
+    and the row sum runs over dv, not over n.
     """
-    if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or not q.shape[0] == k.shape[0] == v.shape[0]
-            or q.shape[2] != k.shape[2] or k.shape[1] != v.shape[1]):
+    lead = q.shape[:-2]
+    if (min(q.ndim, k.ndim, v.ndim) < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
+            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+            or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} must be "
-                         "(B,m,d), (B,n,d) and (B,n,dv)")
-    qd, kd, vd = q.data, k.data, v.data
-    e = qd @ np.ascontiguousarray(kd.transpose(0, 2, 1))
+                         f"(...,m,H·d), (...,n,H·d) and (...,n,H·dv) with H={heads}")
+    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+
+    def merged(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+        # a @ b per head, written into the heads' columns of a new (..., L, H·w)
+        res = np.empty(shape)
+        np.matmul(a, b, out=_heads(res, heads))
+        return res
+
+    e = qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))
     e *= scale
     if mask is not None:
-        if mask.shape != e.shape[1:]:
+        if mask.shape != e.shape[-2:]:
             raise ShapeError(f"attention: mask {mask.shape} does not match scores {e.shape}")
         e += mask
     e -= _row_max(e)
     np.exp(e, out=e)
     norm = _row_sum(e)
-    o = e @ vd
-    o /= norm
+    o = merged(e, vh, q.shape[:-1] + v.shape[-1:])
+    oh = _heads(o, heads)
+    oh /= norm
     out = Tensor._wrap(o)
     tape = _recording(q, k, v)
     if tape is not None:
         def vjp(g):
             gq = gk = gv = None
-            gl = g / norm
+            gl = _heads(g, heads) / norm
             if v.requires_grad:
-                gv = e.transpose(0, 2, 1) @ gl
+                gv = merged(np.swapaxes(e, -1, -2), gl, v.shape)
             if q.requires_grad or k.requires_grad:
-                ds = gl @ vd.transpose(0, 2, 1)
-                ds -= _row_sum(gl * o)
+                ds = gl @ np.swapaxes(vh, -1, -2)
+                ds -= _row_sum(gl * oh)
                 ds *= e
                 ds *= scale
                 if q.requires_grad:
-                    gq = ds @ kd
+                    gq = merged(ds, kh, q.shape)
                 if k.requires_grad:
-                    gk = ds.transpose(0, 2, 1) @ qd
+                    gk = merged(np.swapaxes(ds, -1, -2), qh, k.shape)
             return (gq, gk, gv)
         tape._record(out, (q, k, v), vjp)
     return out

@@ -128,11 +128,19 @@ class TestForwardModes:
 
     def test_every_attention_site_is_one_attention_node(self):
         # Encoder, token compression and two surrogate blocks: four attention
-        # nodes, and no attention left composed from bmm nodes.
+        # nodes, and no attention left composed from bmm nodes. Heads are
+        # split inside the op, so no site records a transpose node either.
         model = BrainSequenceClassifier(ModelConfig.desk())
         assert model.cfg.backbone == "mamba" and model.cfg.surrogate_blocks == 2
         with tt.Tape() as tape:
             model.forward(CounterRng(5).normal((32, 16)))
         names = [node.vjp.__qualname__ for node in tape.nodes]
         assert sum(name.startswith("attention.") for name in names) == 4
-        assert not any(name.startswith("bmm.") for name in names)
+        assert not any(name.startswith(("bmm.", "transpose.")) for name in names)
+
+        model = BrainSequenceClassifier(ModelConfig.desk(backbone="transformer"))
+        with tt.Tape() as tape:
+            model.forward(CounterRng(5).normal((32, 16)))
+        names = [node.vjp.__qualname__ for node in tape.nodes]
+        assert sum(name.startswith("attention.") for name in names) == 5
+        assert not any(name.startswith("transpose.") for name in names)

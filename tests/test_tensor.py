@@ -180,33 +180,65 @@ def composed_attention(q, k, v, scale, mask=None):
     return tt.bmm(tt.softmax(scores, axis=-1), v)
 
 
-def attention_out_and_grads(op, shapes, mask, seed):
+def headwise_reference(heads):
+    """``composed_attention`` run on each head's columns, split here by hand."""
+    def op(q, k, v, scale, mask=None):
+        unbatched = q.ndim == 2
+        if unbatched:
+            q, k, v = (t.reshape((1, *t.shape)) for t in (q, k, v))
+        d, dv = q.shape[-1] // heads, v.shape[-1] // heads
+        out = tt.concat([composed_attention(q[:, :, h * d:(h + 1) * d],
+                                            k[:, :, h * d:(h + 1) * d],
+                                            v[:, :, h * dv:(h + 1) * dv], scale, mask)
+                         for h in range(heads)], axis=-1)
+        return out.reshape(out.shape[1:]) if unbatched else out
+    return op
+
+
+def attention_out_and_grads(op, shapes, mask, seed, heads=1):
     rng = np.random.default_rng(seed)
     qkv = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
-    (B, m, d), _, (_, _, dv) = shapes
-    w = Tensor(rng.normal(size=(B, m, dv)))
+    w = Tensor(rng.normal(size=shapes[0][:-1] + shapes[2][-1:]))
     with Tape() as tape:
-        out = op(*qkv, 1.0 / math.sqrt(d), mask)
+        out = op(*qkv, 1.0 / math.sqrt(shapes[0][-1] // heads), mask)
         grads = tape.backward(tt.tsum(out * w))
     return out.data, [grads[t] for t in qkv]
 
 
+# (B, m, n, d, dv, masked, heads), with d and dv per head; B None is no batch axis
+ATTENTION_CASES = [
+    (512, 16, 16, 4, 4, False, 1),      # one head per batch row
+    (8, 16, 16, 32, 32, False, 1),
+    (1, 8, 128, 32, 32, True, 1),       # token compression: one head, masked
+    (3, 5, 7, 4, 6, True, 1),           # value width differs from key width
+    (128, 16, 16, 4, 4, False, 4),      # ROI attention at desk width, T=128
+    (2, 16, 16, 32, 32, False, 4),      # ROI attention at paper width
+    (3, 5, 7, 4, 6, True, 2),           # two heads, dv != d
+    (None, 12, 12, 16, 16, False, 4),   # surrogate block: (L, H·d), no batch axis
+    (None, 8, 128, 32, 32, True, 1),    # token compression as it is called
+]
+
+
+def _case_id(case):
+    return "-".join(map(str, case[:6])) + ("" if case[6] == 1 else f"-{case[6]}heads")
+
+
 class TestAttention:
-    @pytest.mark.parametrize("B,m,n,d,dv,masked", [
-        (512, 16, 16, 4, 4, False),     # ROI attention at desk width, T=128
-        (8, 16, 16, 32, 32, False),     # ROI attention at paper width
-        (1, 8, 128, 32, 32, True),      # token compression: one head, masked
-        (3, 5, 7, 4, 6, True),          # value width differs from key width
-    ])
-    def test_matches_composed_reference(self, B, m, n, d, dv, masked):
+    @pytest.mark.parametrize("B,m,n,d,dv,masked,heads", ATTENTION_CASES,
+                             ids=[_case_id(c) for c in ATTENTION_CASES])
+    def test_matches_composed_reference(self, B, m, n, d, dv, masked, heads):
         mask = None
         if masked:
             mask = np.zeros((m, n))
             mask[:, n // 2:] = -1e30
             mask[0, 1] = 0.7
-        shapes = [(B, m, d), (B, n, d), (B, n, dv)]
-        out, grads = attention_out_and_grads(tt.attention, shapes, mask, seed=n + d)
-        ref, ref_grads = attention_out_and_grads(composed_attention, shapes, mask, seed=n + d)
+        lead = () if B is None else (B,)
+        shapes = [lead + (m, heads * d), lead + (n, heads * d), lead + (n, heads * dv)]
+        def op(*args):
+            return tt.attention(*args, heads=heads)
+        out, grads = attention_out_and_grads(op, shapes, mask, seed=n + d, heads=heads)
+        ref, ref_grads = attention_out_and_grads(headwise_reference(heads), shapes, mask,
+                                                 seed=n + d, heads=heads)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         for name, g, want in zip("qkv", grads, ref_grads):
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
@@ -226,6 +258,8 @@ class TestAttention:
             tt.attention(x, x, Tensor(np.zeros((2, 4, 4))), 1.0)
         with pytest.raises(ShapeError, match="mask"):
             tt.attention(x, x, x, 1.0, np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="H=3"):
+            tt.attention(x, x, x, 1.0, heads=3)   # 4 columns do not split into 3 heads
 
 
 class TestBackward:
