@@ -99,23 +99,35 @@ def load_roi_csv(path, subject_id: Optional[str] = None) -> RoiTimeSeries:
     if header != expected:
         raise ParseError(f"{path}: header {header[:3]}... does not match roi_0..roi_{n-1}",
                          line=1)
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        fields = ln.split(",")
-        if len(fields) != n:
-            raise ParseError(f"{path}: expected {n} fields, got {len(fields)}", line=lineno)
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as e:
-            raise ParseError(f"{path}: non-numeric field ({e})", line=lineno)
+    rows = lines[1:]
+    try:
+        # numpy converts a str with float()'s rules; one call for all fields
+        if any(ln.count(",") != n - 1 for ln in rows):
+            raise ValueError("field count")
+        values = np.array(",".join(rows).split(","), dtype=np.float64).reshape(len(rows), n)
+    except ValueError:
+        values = _parse_rows(path, rows, n)
     if n < 2:
         raise ContentError(f"{path}: need at least 2 ROI columns, got {n}")
     if len(rows) < 3:
         raise ContentError(f"{path}: need at least 3 time points, got {len(rows)}")
-    values = np.array(rows, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ContentError(f"{path}: non-finite values")
     return RoiTimeSeries(subject_id=subject_id or path.stem, values=values)
+
+
+def _parse_rows(path: Path, rows: list, n: int) -> np.ndarray:
+    """Line-by-line parse; raises the first bad line's ParseError."""
+    parsed = []
+    for lineno, ln in enumerate(rows, start=2):
+        fields = ln.split(",")
+        if len(fields) != n:
+            raise ParseError(f"{path}: expected {n} fields, got {len(fields)}", line=lineno)
+        try:
+            parsed.append([float(v) for v in fields])
+        except ValueError as e:
+            raise ParseError(f"{path}: non-numeric field ({e})", line=lineno)
+    return np.array(parsed, dtype=np.float64)
 
 
 def write_roi_csv(path, values: np.ndarray) -> None:

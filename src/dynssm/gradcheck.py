@@ -152,12 +152,15 @@ def _check_conv(seed: int, shared: bool):
 
 
 def _check_self_outer(seed: int):
+    # the gram must be symmetric, so it is probed through a + aᵀ
     h2 = Tensor(_rand(seed, (4, 5)), requires_grad=True)
     h3 = Tensor(_rand(seed + 1, (2, 4, 5)), requires_grad=True)
+    a = Tensor(_rand(seed + 2, (5, 5)), requires_grad=True)
     def fn(ps):
         return _weighted_sum(tt.scaled_self_outer(ps[0]), seed) + \
-               _weighted_sum(tt.scaled_self_outer(ps[1]), seed + 1)
-    return finite_diff_check(fn, [h2, h3])
+               _weighted_sum(tt.scaled_self_outer(ps[1]), seed + 1) + \
+               _weighted_sum(tt.scaled_self_outer(ps[1], ps[2] + ps[2].T), seed + 2)
+    return finite_diff_check(fn, [h2, h3, a])
 
 
 def _check_scan(seed: int):
@@ -237,21 +240,35 @@ def _check_relu(seed: int):
 
 
 def _check_encoder(seed: int):
-    def build(s):
+    # d_lat 8 with 2 conv features and 4 heads runs unfactored; with one conv
+    # feature and 2 heads it factors ((2+1)(1+1) = 6 < 8), and there the
+    # sequence's adjacency and filtered signal are probed. The adjacency's
+    # entries reach ~100, so it is probed as a mean: attn.bk's true gradient
+    # is zero, and one ulp of a sum that large over 2·eps exceeds the atol.
+    def build(s, conv_features, heads):
         rng = CounterRng(s)
-        params = gr.NodeEncoderParams.create(rng, d_lat=8, conv_features=2,
-                                             kernel_size=3, heads=4)
+        params = gr.NodeEncoderParams.create(rng, d_lat=8, conv_features=conv_features,
+                                             kernel_size=3, heads=heads)
         x = Tensor(rng.normal((6, 4)), requires_grad=True)
         return params, x
-    def runner(s):
-        params, x = build(s)
-        return lambda: gr.encode_nodes(x, params)
-    s = _off_kink_seed(seed, runner)
-    params, x = build(s)
-    targets = [x, *params.named_params().values()]
-    def fn(ps):
-        return _weighted_sum(gr.encode_nodes(x, params), s)
-    return finite_diff_check(fn, targets)
+    worst = 0.0
+    for conv_features, heads in ((2, 4), (1, 2)):
+        def runner(s):
+            params, x = build(s, conv_features, heads)
+            return lambda: gr.encode_nodes(x, params)
+        s = _off_kink_seed(seed, runner)
+        params, x = build(s, conv_features, heads)
+        targets = [x, *params.named_params().values()]
+        if gr._factored(params):
+            def fn(ps):
+                seq = gr.encode_sequence(x, params)
+                adjacency = _weighted_sum(seq.adjacency, s) * (1.0 / seq.adjacency.size)
+                return adjacency + _weighted_sum(seq.filtered, s + 1)
+        else:
+            def fn(ps):
+                return _weighted_sum(gr.encode_nodes(x, params), s)
+        worst = max(worst, finite_diff_check(fn, targets))
+    return worst
 
 
 def _check_ssm_forward(seed: int):

@@ -15,12 +15,29 @@ GEMMs and their vjps ``conv_features`` wide instead of ``d_lat`` wide.
 Each attention head is a block of ``d_lat // heads`` adjacent columns of q,
 k and v; ``tt.attention`` splits and merges the heads inside its one tape
 node, with the T steps as its batch axis.
+
+So the whole encoder has the rank of its c = ``conv_features`` inputs, not
+of ``d_lat``. With F̃ = [F, 1], the conv features and a ones column, and
+Q̃, K̃, Ṽ = [w∘proj | w proj_b + b] the (d_lat, c+1) maps on F̃, head h's
+scores are F̃ M_h F̃ᵀ with M_h = Q̃_hᵀ K̃_h / √dh only (c+1) × (c+1). Softmax
+rows sum to 1, so head h's output after ``wo`` is (P_h F̃)(wo_h Ṽ_h)ᵀ, and
+
+    h = Z Uᵀ,   Z = [F̃, P_1 F̃, …, P_H F̃],
+                U = [proj_w | proj_b + bo, wo_1 Ṽ_1, …, wo_H Ṽ_H],
+
+with Z (T, N, (H+1)(c+1)) and U (d_lat, (H+1)(c+1)). The adjacency is then
+Z (UᵀU / √d_lat) Zᵀ, mirrored as ``tt.scaled_self_outer`` does. This form
+is used where it is narrower: iff (H+1)(c+1) < d_lat (``_factored``), which
+also makes c+1 < dh. The paper width factors (45 < 128) and runs no
+(T, N, d_lat) tensor; the desk width (25 >= 16) does not, and keeps the
+folded form above, which is faster there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -83,20 +100,46 @@ class NodeEncoderParams:
 
 @dataclass
 class DynGraphSequence:
-    """Per-step adjacency matrices, filtered signals, and node embeddings."""
+    """Per-step adjacency matrices, filtered signals, and node embeddings.
 
-    adjacency: Tensor    # (T, N, N), symmetric per step
-    filtered: Tensor     # (T, N)
-    embeddings: Tensor   # (T, N, d_lat)
+    The embeddings are ``nodes`` itself, or ``nodes @ basis.T`` when the
+    encoder ran factored; then they are formed only when read.
+    """
+
+    adjacency: Tensor                # (T, N, N), symmetric per step
+    filtered: Tensor                 # (T, N)
+    nodes: Tensor                    # (T, N, d_lat), or (T, N, k) on ``basis``
+    basis: Optional[Tensor] = None   # (d_lat, k)
+
+    @property
+    def embeddings(self) -> Tensor:
+        """(T, N, d_lat)."""
+        return self.nodes if self.basis is None else tt.linear(self.nodes, self.basis)
 
 
 def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
     """Per-region temporal features: (T, N) -> (T, N, conv_features)."""
+    if x.ndim != 2:
+        raise ShapeError(f"node encoder expects (T, N) input, got shape {x.shape}")
     T, N = x.shape
+    if T < params.kernel_size:
+        raise ShapeError(f"input too short: T={T} < kernel_size={params.kernel_size}")
+    if N < 2:
+        raise ShapeError(f"need at least 2 regions, got N={N}")
     feats = tt.grouped_conv1d(x, params.kernel_size, params.conv_w,
                               group_count=N, bias=params.conv_b)
     f = params.conv_w.shape[1]
     return tt.relu(feats).reshape((T, N, f))
+
+
+def _factored(params: NodeEncoderParams) -> bool:
+    """The width rule of the module docstring: Z is narrower than d_lat."""
+    return (params.heads + 1) * (params.conv_w.shape[1] + 1) < params.d_lat
+
+
+def _affine(w: Tensor, b: Tensor) -> Tensor:
+    """``[w | b]``: the map f -> w f + b as one matrix acting on ``[f, 1]``."""
+    return tt.concat([w, b.reshape((-1, 1))], axis=1)
 
 
 def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
@@ -119,21 +162,50 @@ def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
     return tt.linear(ctx, p["wo"], p["bo"])
 
 
+def _node_factors(x: Tensor, params: NodeEncoderParams) -> tuple[Tensor, Tensor]:
+    """``(Z, U)`` with embeddings ``h = Z Uᵀ``, for widths that factor.
+
+    Z = [F̃, P_1 F̃, …, P_H F̃] is (T, N, (H+1)(c+1)) and U is
+    (d_lat, (H+1)(c+1)); see the module docstring.
+    """
+    feats = conv_stage(x, params)
+    T, N, c = feats.shape
+    f1 = tt.concat([feats, Tensor(np.ones((T, N, 1)))], axis=-1)   # F̃
+    if not params.attention_enabled:
+        return f1, _affine(params.proj_w, params.proj_b)
+    heads, d, p = params.heads, params.d_lat, params.attn
+    dh = d // heads
+
+    def folded(w: Tensor, b: Tensor) -> Tensor:
+        # w∘proj + b on F̃, one (dh, c+1) block per head
+        return _affine(tt.matmul(w, params.proj_w),
+                       tt.matmul(w, params.proj_b) + b).reshape((heads, dh, c + 1))
+
+    q, k, v = (folded(p["w" + n], p["b" + n]) for n in "qkv")
+    # row block h of m is √dh·M_hᵀ = K̃_hᵀ Q̃_h, so linear(F̃, m) is
+    # √dh·[F̃ M_1 | … | F̃ M_H]; against k = v = H copies of F̃, head h's
+    # output is P_h F̃
+    m = tt.bmm(k.transpose((0, 2, 1)), q).reshape((heads * (c + 1), c + 1))
+    f_heads = tt.concat([f1] * heads, axis=-1)
+    mixed = tt.attention(tt.linear(f1, m * (1.0 / math.sqrt(dh))), f_heads, f_heads,
+                         1.0, heads=heads)
+    # wo_h Ṽ_h, side by side: (d, H(c+1))
+    wo_v = tt.bmm(p["wo"].reshape((d, heads, dh)).transpose((1, 0, 2)), v)
+    u = tt.concat([_affine(params.proj_w, params.proj_b + p["bo"]),
+                   wo_v.transpose((1, 0, 2)).reshape((d, heads * (c + 1)))], axis=1)
+    return tt.concat([f1, mixed], axis=-1), u
+
+
 def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
     """Embed every region at every time step: (T, N) -> (T, N, d_lat).
 
     ``h = proj(conv_stage(x))``, plus ``attn(h)`` when attention is enabled.
-    The attention takes its q/k/v from the conv features through the folded
-    maps, which is exact because ``proj`` is affine and nothing non-linear
-    follows it before q/k/v; ``h`` itself is formed once, for the residual.
+    At widths that factor (``_factored``), h is formed only as ``Z Uᵀ``;
+    otherwise the attention takes its q/k/v from the conv features through
+    the folded maps.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"encode_nodes expects (T, N) input, got shape {x.shape}")
-    T, N = x.shape
-    if T < params.kernel_size:
-        raise ShapeError(f"input too short: T={T} < kernel_size={params.kernel_size}")
-    if N < 2:
-        raise ShapeError(f"need at least 2 regions, got N={N}")
+    if _factored(params):
+        return tt.linear(*_node_factors(x, params))
     feats = conv_stage(x, params)
     h = tt.linear(feats, params.proj_w, params.proj_b)
     if params.attention_enabled:
@@ -171,12 +243,17 @@ def encode_sequence(x: Tensor, params: NodeEncoderParams,
     """Embeddings, per-step adjacency, and filtered signal for a full scan.
 
     Equivalent to calling infer_adjacency / graph_filter at every t; no
-    sliding windows are involved.
+    sliding windows are involved. At widths that factor, the adjacency is
+    ``Z (UᵀU / √d_lat) Zᵀ`` and no (T, N, d_lat) tensor is formed.
     """
-    h = encode_nodes(x, params)
-    g_seq = tt.scaled_self_outer(h)
+    if _factored(params):
+        z, u = _node_factors(x, params)
+        gram = tt.matmul(u.T, u) * (1.0 / math.sqrt(params.d_lat))
+    else:
+        z, u, gram = encode_nodes(x, params), None, None
+    g_seq = tt.scaled_self_outer(z, gram)
     filtered = tt.bmv(_filter_weights(g_seq, mode), x)
-    return DynGraphSequence(adjacency=g_seq, filtered=filtered, embeddings=h)
+    return DynGraphSequence(adjacency=g_seq, filtered=filtered, nodes=z, basis=u)
 
 
 def static_filter(x: Tensor, g_seq: Tensor, mode: str = "row_normalized") -> Tensor:

@@ -803,28 +803,39 @@ def grouped_conv1d(x: Tensor, kernel_size: int, weights: Tensor,
     return out
 
 
-def scaled_self_outer(h: Tensor) -> Tensor:
-    """Pairwise scaled dot products: (N,d) -> (N,N) or (T,N,d) -> (T,N,N).
+def scaled_self_outer(h: Tensor, gram: Optional[Tensor] = None) -> Tensor:
+    """Pairwise scaled products: (N,d) -> (N,N) or (T,N,d) -> (T,N,N).
 
-    Each pair's dot product is computed once and mirrored, so the output is
-    symmetric bit-for-bit. Entry (i, j) is <h_i, h_j> / sqrt(d).
+    Entry (i, j) is h_i G h_jᵀ, where G is ``gram`` (a symmetric (d, d)) or,
+    by default, I/sqrt(d): <h_i, h_j> / sqrt(d). Each pair is computed once
+    and mirrored, so the output is symmetric bit-for-bit.
     """
     if h.ndim not in (2, 3):
         raise ShapeError(f"scaled_self_outer expects (N,d) or (T,N,d), got {h.shape}")
     d = h.shape[-1]
+    if gram is not None and gram.shape != (d, d):
+        raise ShapeError(f"scaled_self_outer: gram {gram.shape} does not match width {d}")
     scale = 1.0 / math.sqrt(d)
     hd = h.data
-    raw = hd @ np.swapaxes(hd, -1, -2)
-    raw *= scale
+    hg = hd if gram is None else hd @ gram.data
+    raw = hg @ np.swapaxes(hd, -1, -2)
+    if gram is None:
+        raw *= scale
     n = h.shape[-2]
     upper = np.triu(np.ones((n, n), dtype=bool))
     out = Tensor._wrap(np.where(upper, raw, np.swapaxes(raw, -1, -2)))
-    tape = _recording(h)
+    parents = (h,) if gram is None else (h, gram)
+    tape = _recording(*parents)
     if tape is not None:
         def vjp(g):
             gs = g + np.swapaxes(g, -1, -2)
-            return ((gs @ hd) * scale,)
-        tape._record(out, (h,), vjp)
+            if gram is None:
+                return ((gs @ hd) * scale,)
+            gg = None
+            if gram.requires_grad:
+                gg = hd.reshape(-1, d).T @ (g @ hd).reshape(-1, d)
+            return (gs @ hg if h.requires_grad else None, gg)
+        tape._record(out, parents, vjp)
     return out
 
 

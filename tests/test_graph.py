@@ -112,6 +112,14 @@ def unfolded_encode_nodes(x, params):
     return h
 
 
+def randomize_biases(params, seed):
+    """Non-zero biases everywhere: zero ones hide mistakes in a ones column."""
+    rng = CounterRng(seed)
+    for b in (params.conv_b, params.proj_b, *(params.attn["b" + n] for n in "qkvo")):
+        b.data = rng.normal(b.shape)
+    return params
+
+
 def encoder_out_and_grads(encode, params, x, w):
     named = params.named_params()
     with tt.Tape() as tape:
@@ -120,41 +128,113 @@ def encoder_out_and_grads(encode, params, x, w):
     return out.data, {k: grads[v] for k, v in named.items()}
 
 
+def assert_grads_close(grads, ref_grads, rel=1e-12):
+    # attn.bk's gradient is zero in exact arithmetic (a key bias shifts a
+    # whole score row, which softmax ignores), so the bound is absolute.
+    largest = max(np.max(np.abs(g)) for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        assert np.max(np.abs(grads[name] - g)) <= rel * largest, name
+
+
+PAPER = dict(d_lat=128, conv_features=8)
+DESK = dict(d_lat=16, conv_features=4)
+
+
 class TestFoldedAttention:
-    """The q/k/v maps folded through proj agree with the unfolded reference."""
+    """The folded and factored encoders agree with the unfolded reference."""
 
     @pytest.mark.parametrize("d_lat,conv_features", [(16, 4), (128, 8)])
     def test_matches_unfolded_reference(self, d_lat, conv_features):
-        p = make_params(seed=3, d_lat=d_lat, conv_features=conv_features)
+        p = randomize_biases(make_params(seed=3, d_lat=d_lat, conv_features=conv_features), 4)
         x = CounterRng(5).normal((128, 16))
         w = CounterRng(7).normal((128, 16, d_lat))
         out, grads = encoder_out_and_grads(gr.encode_nodes, p, x, w)
         ref_out, ref_grads = encoder_out_and_grads(unfolded_encode_nodes, p, x, w)
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
-        # attn.bk's gradient is zero in exact arithmetic (a key bias shifts a
-        # whole score row, which softmax ignores), so the bound is absolute.
-        largest = max(np.max(np.abs(g)) for g in ref_grads.values())
-        for name, g in ref_grads.items():
-            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * largest, name
+        assert_grads_close(grads, ref_grads)
 
     def test_attention_disabled_is_bit_identical(self):
         p = make_params(seed=3, d_lat=16, conv_features=4, attention=False)
         x = Tensor(CounterRng(5).normal((128, 16)))
         assert np.array_equal(gr.encode_nodes(x, p).data, unfolded_encode_nodes(x, p).data)
 
-    def test_only_the_output_map_is_d_lat_wide(self, monkeypatch):
-        # Structural guard: q/k/v must not go back to d_lat-wide GEMMs.
-        widths = []
-        linear = tt.linear
+    def test_attention_disabled_factored(self):
+        p = randomize_biases(make_params(seed=3, attention=False, **PAPER), 4)
+        x = Tensor(CounterRng(5).normal((128, 16)))
+        out, ref = gr.encode_nodes(x, p).data, unfolded_encode_nodes(x, p).data
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        def recording_linear(x, w, b=None):
-            widths.append(x.shape[-1])
-            return linear(x, w, b)
 
-        monkeypatch.setattr(tt, "linear", recording_linear)
-        p = make_params(d_lat=128, conv_features=8)
-        gr.encode_nodes(Tensor(CounterRng(1).normal((16, 8))), p)
-        assert sorted(widths) == [8, 8, 8, 8, 128]
+class TestFactoredEncoder:
+    """At paper width the encoder runs on Z = [F̃, P_1 F̃, …] and U, not on h."""
+
+    T = 40
+
+    def test_width_rule(self):
+        assert gr._factored(make_params(**PAPER))       # (4+1)(8+1) = 45 < 128
+        assert not gr._factored(make_params(**DESK))    # (4+1)(4+1) = 25 >= 16
+
+    @pytest.mark.parametrize("mode", ["raw", "row_normalized"])
+    def test_sequence_matches_unfolded_reference(self, mode):
+        p = randomize_biases(make_params(seed=3, **PAPER), 4)
+        x = CounterRng(5).normal((self.T, 16))
+        wg = CounterRng(7).normal((self.T, 16, 16))
+        wf = CounterRng(8).normal((self.T, 16))
+
+        def run(sequence):
+            named = p.named_params()
+            with tt.Tape() as tape:
+                g, f = sequence(Tensor(x))
+                loss = tt.tsum(tt.mul(g, Tensor(wg))) + tt.tsum(tt.mul(f, Tensor(wf)))
+                grads = tape.backward(loss, params=list(named.values()))
+            return g.data, f.data, {k: grads[v] for k, v in named.items()}
+
+        def factored(xt):
+            seq = gr.encode_sequence(xt, p, mode=mode)
+            return seq.adjacency, seq.filtered
+
+        def reference(xt):
+            g = tt.scaled_self_outer(unfolded_encode_nodes(xt, p))
+            return g, tt.bmv(gr._filter_weights(g, mode), xt)
+
+        g, f, grads = run(factored)
+        ref_g, ref_f, ref_grads = run(reference)
+        assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+        assert np.max(np.abs(f - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
+        assert_grads_close(grads, ref_grads)
+        for t in range(self.T):
+            assert np.array_equal(g[t], g[t].T)
+
+    def test_embeddings_match_encode_nodes(self):
+        p = randomize_biases(make_params(seed=3, **PAPER), 4)
+        x = Tensor(CounterRng(5).normal((self.T, 16)))
+        h = gr.encode_nodes(x, p).data
+        emb = gr.encode_sequence(x, p).embeddings.data
+        assert np.max(np.abs(emb - h)) <= 1e-12 * np.max(np.abs(h))
+
+    @staticmethod
+    def d_lat_wide_nodes(fn, x, p):
+        with tt.Tape() as tape:
+            out = fn(Tensor(x), p)
+        wide = [n.out for n in tape.nodes if n.out.shape == x.shape + (p.d_lat,)]
+        return out, wide
+
+    def test_no_d_lat_wide_tensor_at_paper_width(self):
+        # Structural guard: the encoder must not go back to (T, N, d_lat)
+        # tensors at a width where its rank is (heads+1)(conv_features+1).
+        p = make_params(**PAPER)
+        x = CounterRng(1).normal((self.T, 16))
+        _, wide = self.d_lat_wide_nodes(gr.encode_sequence, x, p)
+        assert wide == []
+        out, wide = self.d_lat_wide_nodes(gr.encode_nodes, x, p)
+        assert len(wide) == 1 and wide[0] is out
+
+    def test_desk_width_is_unfactored(self):
+        p = make_params(**DESK)
+        x = CounterRng(1).normal((self.T, 16))
+        seq, wide = self.d_lat_wide_nodes(gr.encode_sequence, x, p)
+        assert seq.basis is None and seq.embeddings is seq.nodes
+        assert len(wide) > 1   # q/k/v, the context and h itself
 
 
 class TestInferAdjacency:

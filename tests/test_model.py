@@ -7,6 +7,7 @@ from dynssm import tensor as tt
 from dynssm.errors import ConfigError
 from dynssm.model import BrainSequenceClassifier, ModelConfig
 from dynssm.rng import CounterRng
+from dynssm.tensor import Tensor
 
 
 class TestModelConfig:
@@ -144,3 +145,21 @@ class TestForwardModes:
         names = [node.vjp.__qualname__ for node in tape.nodes]
         assert sum(name.startswith("attention.") for name in names) == 5
         assert not any(name.startswith("transpose.") for name in names)
+
+    def test_paper_forward_forms_no_d_lat_wide_tensor(self, monkeypatch):
+        # The paper-width encoder runs factored: neither an inference nor a
+        # training forward forms a (T, N, d_lat) tensor.
+        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
+        shapes = []
+        wrap = Tensor._wrap.__func__
+
+        def recording_wrap(cls, arr):
+            shapes.append(arr.shape)
+            return wrap(cls, arr)
+
+        monkeypatch.setattr(Tensor, "_wrap", classmethod(recording_wrap))
+        x = CounterRng(5).normal((32, 16))
+        model.forward(x)
+        with tt.Tape():
+            model.forward(x, training=True, rng=CounterRng(6))
+        assert (32, 16, 16) in shapes and (32, 16, model.cfg.d_lat) not in shapes

@@ -563,3 +563,31 @@ class TestScaledSelfOuter:
         assert np.array_equal(g, old)
         assert np.array_equal(g, g.transpose(0, 2, 1))
         assert g.flags.c_contiguous
+
+    def test_gram_is_the_embeddings_outer_product(self):
+        # h G hᵀ with G = UᵀU / sqrt(d) equals the default on the embeddings h Uᵀ
+        rng = np.random.default_rng(12)
+        z, u = rng.normal(size=(5, 7, 3)), rng.normal(size=(16, 3))
+        g = tt.scaled_self_outer(Tensor(z), Tensor(u.T @ u / 4.0)).data
+        ref = tt.scaled_self_outer(Tensor(z @ u.T)).data
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert all(np.array_equal(g[t], g[t].T) for t in range(5))
+
+    def test_gram_gradients(self):
+        rng = np.random.default_rng(13)
+        z = Tensor(rng.normal(size=(5, 7, 3)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 7, 7)))
+        with Tape() as tape:
+            gram = a + a.T
+            out = tt.tsum(tt.mul(tt.scaled_self_outer(z, gram), w))
+            grads = tape.backward(out)
+        gd = a.data + a.data.T
+        ref_z = np.einsum("tij,tjk->tik", w.data + w.data.transpose(0, 2, 1), z.data @ gd)
+        ref_gram = np.einsum("tia,tij,tjb->ab", z.data, w.data, z.data)
+        assert np.allclose(grads[z], ref_z, rtol=0, atol=1e-12)
+        assert np.allclose(grads[a], ref_gram + ref_gram.T, rtol=0, atol=1e-12)
+
+    def test_gram_shape_checked(self):
+        with pytest.raises(ShapeError, match="gram"):
+            tt.scaled_self_outer(Tensor(np.zeros((4, 3))), Tensor(np.eye(4)))
