@@ -158,6 +158,18 @@ def _write_resolved(cfg: dict, out_dir: Path) -> None:
         json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path: Path, text: str | None = None, line: int | None = None) -> dict:
+    """One JSON object from ``path`` (or from its line ``line``, given as ``text``)."""
+    from .errors import ParseError
+    try:
+        value = json.loads(path.read_text() if text is None else text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON ({e})", line=line)
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: expected a JSON object", line=line)
+    return value
+
+
 def _synth_split(cfg: dict, null: bool = False):
     from .data import default_synth_spec, null_synth_spec, split_dataset, synth_generate
     d = cfg["data"]
@@ -233,7 +245,7 @@ def cmd_evaluate(args) -> int:
     resolved_path = run_dir / "config.resolved"
     if not resolved_path.exists():
         raise FileNotFoundError(f"{resolved_path} not found")
-    cfg = json.loads(resolved_path.read_text())
+    cfg = _read_json(resolved_path)
     from .config import build_model_config
     from .model import BrainSequenceClassifier, variant_config
     from .training import evaluate
@@ -342,8 +354,8 @@ def cmd_report(args) -> int:
         log_path = Path(run) / "logs.jsonl"
         if not log_path.exists():
             raise FileNotFoundError(f"{log_path} not found")
-        for raw in log_path.read_text().splitlines():
-            rec = json.loads(raw)
+        for lineno, raw in enumerate(log_path.read_text().splitlines(), start=1):
+            rec = _read_json(log_path, raw, lineno)
             def fmt(key):
                 v = rec.get(key)
                 return "" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)

@@ -315,8 +315,15 @@ def load_dataset(manifest_path) -> list[RoiTimeSeries]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"{manifest_path}: invalid JSON ({e})")
+    entries = manifest.get("subjects", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ParseError(f"{manifest_path}: expected an object with a 'subjects' list")
     subjects = []
-    for entry in manifest.get("subjects", []):
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and "subject_id" in entry
+                and isinstance(entry.get("path"), str)):
+            raise ParseError(f"{manifest_path}: subjects[{i}] needs a 'subject_id' and a "
+                             f"'path' string")
         ts = load_roi_csv(manifest_path.parent / entry["path"],
                           subject_id=entry["subject_id"])
         ts.label = entry.get("label")

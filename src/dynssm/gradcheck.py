@@ -242,9 +242,7 @@ def _check_relu(seed: int):
 def _check_encoder(seed: int):
     # d_lat 8 with 2 conv features and 4 heads runs unfactored; with one conv
     # feature and 2 heads it factors ((2+1)(1+1) = 6 < 8), and there the
-    # sequence's adjacency and filtered signal are probed. The adjacency's
-    # entries reach ~100, so it is probed as a mean: attn.bk's true gradient
-    # is zero, and one ulp of a sum that large over 2·eps exceeds the atol.
+    # sequence's adjacency and filtered signal are probed.
     def build(s, conv_features, heads):
         rng = CounterRng(s)
         params = gr.NodeEncoderParams.create(rng, d_lat=8, conv_features=conv_features,
@@ -262,8 +260,7 @@ def _check_encoder(seed: int):
         if gr._factored(params):
             def fn(ps):
                 seq = gr.encode_sequence(x, params)
-                adjacency = _weighted_sum(seq.adjacency, s) * (1.0 / seq.adjacency.size)
-                return adjacency + _weighted_sum(seq.filtered, s + 1)
+                return _weighted_sum(seq.adjacency, s) + _weighted_sum(seq.filtered, s + 1)
         else:
             def fn(ps):
                 return _weighted_sum(gr.encode_nodes(x, params), s)

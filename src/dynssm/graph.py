@@ -11,6 +11,8 @@ composed affine map of the ``conv_features``-wide features:
 ``wq @ (proj_w f + proj_b) + bq = (wq @ proj_w) f + (wq @ proj_b + bq)``.
 This is exact up to floating-point re-association, and it runs the q/k/v
 GEMMs and their vjps ``conv_features`` wide instead of ``d_lat`` wide.
+k has no bias: softmax cancels the q·b it would add to a whole score row.
+``wk @ proj_b`` stays, as part of applying ``wk`` to h.
 
 Each attention head is a block of ``d_lat // heads`` adjacent columns of q,
 k and v; ``tt.attention`` splits and merges the heads inside its one tape
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -56,7 +58,7 @@ class NodeEncoderParams:
     conv_b: Tensor        # (conv_features,)
     proj_w: Tensor        # (d_lat, conv_features)
     proj_b: Tensor        # (d_lat,)
-    attn: dict = field(default_factory=dict)   # wq/wk/wv/wo (d_lat, d_lat) + bq/bk/bv/bo
+    attn: dict = field(default_factory=dict)   # wq/wk/wv/wo (d_lat, d_lat) + bq/bv/bo
     heads: int = 4
     attention_enabled: bool = True
 
@@ -79,7 +81,8 @@ class NodeEncoderParams:
         attn = {}
         for name in ("wq", "wk", "wv", "wo"):
             attn[name] = tt.init_weight(rng, (d_lat, d_lat), d_lat)
-            attn["b" + name[1]] = Tensor(np.zeros(d_lat), requires_grad=True)
+            if name != "wk":   # softmax cancels a key bias (module docstring)
+                attn["b" + name[1]] = Tensor(np.zeros(d_lat), requires_grad=True)
         return cls(
             conv_w=tt.init_weight(rng, (1, conv_features, 1, kernel_size), kernel_size),
             conv_b=Tensor(np.zeros(conv_features), requires_grad=True),
@@ -142,24 +145,24 @@ def _affine(w: Tensor, b: Tensor) -> Tensor:
     return tt.concat([w, b.reshape((-1, 1))], axis=1)
 
 
+def _folded(params: NodeEncoderParams) -> Iterator[tuple[Tensor, Tensor]]:
+    """q, k and v's maps on the conv features: ``(w∘proj, w proj_b + b)``, no b for k."""
+    p = params.attn
+    for n in "qkv":
+        b = tt.matmul(p["w" + n], params.proj_b)
+        yield tt.matmul(p["w" + n], params.proj_w), (b if n == "k" else b + p["b" + n])
+
+
 def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
     """Multi-head self-attention across regions, independently per time step.
 
-    Attends over ``h = proj(feats)``; q, k and v are computed from ``feats``
-    through ``proj`` composed with ``wq``/``wk``/``wv`` (see module docstring).
+    Attends over ``h = proj(feats)``, with q, k and v from ``feats`` by ``_folded``.
     They stay (T, N, d_lat): head h is columns h·dh to (h+1)·dh, and the
     heads' outputs come back side by side in the same columns, for ``wo``.
     """
-    heads = params.heads
-    p = params.attn
-
-    def folded(w: Tensor, b: Tensor) -> Tensor:
-        return tt.linear(feats, tt.matmul(w, params.proj_w), tt.matmul(w, params.proj_b) + b)
-
-    ctx = tt.attention(folded(p["wq"], p["bq"]), folded(p["wk"], p["bk"]),
-                       folded(p["wv"], p["bv"]), 1.0 / math.sqrt(params.d_lat // heads),
-                       heads=heads)
-    return tt.linear(ctx, p["wo"], p["bo"])
+    ctx = tt.attention(*(tt.linear(feats, w, b) for w, b in _folded(params)),
+                       1.0 / math.sqrt(params.d_lat // params.heads), heads=params.heads)
+    return tt.linear(ctx, params.attn["wo"], params.attn["bo"])
 
 
 def _node_factors(x: Tensor, params: NodeEncoderParams) -> tuple[Tensor, Tensor]:
@@ -175,13 +178,8 @@ def _node_factors(x: Tensor, params: NodeEncoderParams) -> tuple[Tensor, Tensor]
         return f1, _affine(params.proj_w, params.proj_b)
     heads, d, p = params.heads, params.d_lat, params.attn
     dh = d // heads
-
-    def folded(w: Tensor, b: Tensor) -> Tensor:
-        # w∘proj + b on F̃, one (dh, c+1) block per head
-        return _affine(tt.matmul(w, params.proj_w),
-                       tt.matmul(w, params.proj_b) + b).reshape((heads, dh, c + 1))
-
-    q, k, v = (folded(p["w" + n], p["b" + n]) for n in "qkv")
+    # Q̃, K̃, Ṽ on F̃, one (dh, c+1) block per head
+    q, k, v = (_affine(w, b).reshape((heads, dh, c + 1)) for w, b in _folded(params))
     # row block h of m is √dh·M_hᵀ = K̃_hᵀ Q̃_h, so linear(F̃, m) is
     # √dh·[F̃ M_1 | … | F̃ M_H]; against k = v = H copies of F̃, head h's
     # output is P_h F̃

@@ -1,11 +1,12 @@
 """Binary parameter container: exact layout and round-trips."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from dynssm.checkpoint import MAGIC, VERSION, load_params, save_params
+from dynssm.checkpoint import MAGIC, V1_DROPPED, VERSION, load_params, save_params
 from dynssm.errors import ParseError
 
 
@@ -77,3 +78,53 @@ class TestContainerLayout:
         joined.write_bytes(first.read_bytes() + second.read_bytes()[8:])
         with pytest.raises(ParseError, match="duplicate.*'x'"):
             load_params(joined)
+
+    @pytest.mark.parametrize("extents", [(2**32, 2**32), (2**63,), (0, 2**63)])
+    def test_impossible_extents_rejected(self, tmp_path, extents):
+        # 2**32 * 2**32 wraps to 0 in int64, and 2**63 overflows it
+        path = tmp_path / "big.dyns"
+        path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", 1) + b"w"
+                         + struct.pack(f"<I{len(extents)}Q", len(extents), *extents)
+                         + b"\x00" * 16)
+        with pytest.raises(ParseError, match="'w'"):
+            load_params(path)
+
+
+def with_version(path, version):
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", version)
+    path.write_bytes(bytes(raw))
+
+
+class TestVersions:
+    RECORDS = {"encoder.attn.wk": np.ones(2), V1_DROPPED: np.full(2, 3.0),
+               "encoder.attn.wv": np.zeros(2)}
+
+    def test_v1_file_drops_only_the_key_bias(self, tmp_path):
+        path = tmp_path / "v1.dyns"
+        save_params(path, self.RECORDS)
+        with_version(path, 1)
+        assert list(load_params(path)) == ["encoder.attn.wk", "encoder.attn.wv"]
+
+    def test_v2_file_keeps_every_record_in_order(self, tmp_path):
+        path = tmp_path / "v2.dyns"
+        save_params(path, self.RECORDS)
+        assert list(load_params(path)) == list(self.RECORDS)
+
+
+class TestCrashSafeWrites:
+    def test_failed_rename_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.dyns"
+        save_params(path, {"w": np.ones(3)})
+        assert [p.name for p in tmp_path.iterdir()] == ["p.dyns"]
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            save_params(path, {"w": np.zeros(3), "v": np.zeros(2)})
+        assert path.read_bytes() == before
+        assert np.array_equal(load_params(path)["w"], np.ones(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["p.dyns"]

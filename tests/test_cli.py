@@ -169,6 +169,30 @@ class TestExitCodes:
         assert run_cli("train", "--data", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "r"), "--quiet") == 2
 
+    @pytest.mark.parametrize("text", ['[]', '{"subjects": [{"subject_id": "s0"}]}'])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert run_cli("train", "--data", str(manifest),
+                       "--out", str(tmp_path / "r"), "--quiet") == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_report_on_a_line_that_is_not_json_is_data_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "logs.jsonl").write_text('{"epoch": 1, "split": "train"}\n{"epoch": 2,\n')
+        assert run_cli("report", str(run_dir), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "logs.jsonl" in err
+
+    @pytest.mark.parametrize("text", ['{"seed": 1,', '[1, 2]'])
+    def test_evaluate_on_a_corrupt_config_is_data_error(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "config.resolved").write_text(text)
+        assert run_cli("evaluate", "--run", str(run_dir), "--quiet") == 2
+        assert "config.resolved" in capsys.readouterr().err
+
     def test_gradcheck_clean_exit(self):
         assert run_cli("gradcheck", "--seeds", "1", "--quiet",
                        "--only", "matmul,linear") == 0

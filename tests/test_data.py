@@ -238,3 +238,17 @@ class TestManifest:
         path.write_text('{"subjects": []}')
         with pytest.raises(ContentError):
             D.load_dataset(path)
+
+    @pytest.mark.parametrize("text", [
+        '[{"subject_id": "s0", "path": "s0.csv"}]',       # top level is a list
+        '{"subjects": {"subject_id": "s0", "path": "s0.csv"}}',
+        '{"subjects": [{"subject_id": "s0"}]}',           # no path
+        '{"subjects": [{"path": "s0.csv"}]}',             # no subject_id
+        '{"subjects": [{"subject_id": "s0", "path": 3}]}',
+        '{"subjects": ["s0.csv"]}',
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="manifest.json"):
+            D.load_dataset(path)

@@ -1,13 +1,17 @@
 """Pipeline assembly: configuration, persistence, parameter bookkeeping."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from dynssm import tensor as tt
+from dynssm.checkpoint import load_params, save_params
 from dynssm.errors import ConfigError
 from dynssm.model import BrainSequenceClassifier, ModelConfig
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tensor
+from dynssm.training import cross_entropy
 
 
 class TestModelConfig:
@@ -77,6 +81,54 @@ class TestPersistence:
             model.load(path)
         assert model.surrogate.checksum() == checksum
 
+    @staticmethod
+    def save_with_key_bias(path, model, version, extra="encoder.attn.bk"):
+        """The model's records, with a non-zero ``extra`` after ``encoder.attn.wk``
+        (where v1 files hold the key bias), under the given header version."""
+        records = {}
+        for name, tensor in model.all_named_params().items():
+            records[name] = tensor.data
+            if name == "encoder.attn.wk":
+                records[extra] = CounterRng(9).normal((model.cfg.d_lat,))
+        save_params(path, records)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(raw))
+
+    @staticmethod
+    def biased_model():
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=8))
+        rng = CounterRng(8)
+        for name, tensor in model.encoder.named_params().items():
+            if name.endswith("_b") or ".attn.b" in name:
+                tensor.data = rng.normal(tensor.shape)
+        return model
+
+    def test_v1_checkpoint_loads_without_its_key_bias(self, tmp_path):
+        model = self.biased_model()
+        x = CounterRng(0).normal((16, 8))
+        v1, v2 = tmp_path / "v1.dyns", tmp_path / "v2.dyns"
+        self.save_with_key_bias(v1, model, version=1)
+        model.save(v2)
+        assert "encoder.attn.bk" not in load_params(v2)
+        logits = {}
+        for path in (v1, v2):
+            clone = BrainSequenceClassifier(ModelConfig.desk(n_rois=8, param_seed=99))
+            clone.load(path)
+            logits[path] = clone.forward(x).data
+        assert np.max(np.abs(logits[v1] - logits[v2])) <= 1e-12 * np.max(np.abs(logits[v2]))
+        assert np.max(np.abs(logits[v2] - model.forward(x).data)) == 0.0
+
+    @pytest.mark.parametrize("version,extra", [(1, "encoder.attn.bz"), (2, "encoder.attn.bk")])
+    def test_other_extra_records_rejected(self, tmp_path, version, extra):
+        path = tmp_path / "extra.dyns"
+        self.save_with_key_bias(path, self.biased_model(), version, extra)
+        clone = BrainSequenceClassifier(ModelConfig.desk(n_rois=8, param_seed=99))
+        before = clone.snapshot()
+        with pytest.raises(ConfigError, match=f"does not own.*{extra}"):
+            clone.load(path)
+        assert all(np.array_equal(v, before[k]) for k, v in clone.snapshot().items())
+
     def test_snapshot_restore(self):
         model = BrainSequenceClassifier(ModelConfig.desk(n_rois=8))
         x = CounterRng(1).normal((12, 8))
@@ -104,6 +156,25 @@ class TestParamReport:
         report = model.param_report()
         manual = sum(t.data.size for t in model.named_trainable().values())
         assert report["trainable"] == manual
+
+
+class TestEveryParameterLearns:
+    @pytest.mark.parametrize("cfg", [ModelConfig.desk(), ModelConfig()], ids=["desk", "paper"])
+    def test_every_trainable_array_gets_a_gradient(self, cfg):
+        # A parameter that cannot change the loss is dead weight in the
+        # checkpoint, the tape and Adam. LoRA B starts at zero, which would
+        # hide A's gradient, so it is moved off zero first.
+        model = BrainSequenceClassifier(cfg)
+        rng = CounterRng(1)
+        for adapter in model.surrogate.adapters.values():
+            adapter.b.data = rng.normal(adapter.b.shape, std=0.1)
+        named = model.named_trainable()
+        with tt.Tape() as tape:
+            loss = cross_entropy(model.forward(CounterRng(2).normal((32, cfg.n_rois))), 1)
+            grads = tape.backward(loss, params=list(named.values()))
+        peaks = {name: np.max(np.abs(grads[t])) for name, t in named.items()}
+        largest = max(peaks.values())
+        assert [name for name, peak in peaks.items() if peak <= 1e-8 * largest] == []
 
 
 class TestForwardModes:
