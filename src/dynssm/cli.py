@@ -170,6 +170,18 @@ def _read_json(path: Path, text: str | None = None, line: int | None = None) -> 
     return value
 
 
+def _require_keys(value: dict, template: dict, path: Path, prefix: str = "") -> None:
+    """Raise ParseError naming the first key of ``template`` missing from ``value``."""
+    from .errors import ParseError
+    for key, sub in template.items():
+        if key not in value:
+            raise ParseError(f"{path}: missing key {prefix}{key}")
+        if isinstance(sub, dict):
+            if not isinstance(value[key], dict):
+                raise ParseError(f"{path}: key {prefix}{key} must be an object")
+            _require_keys(value[key], sub, path, f"{prefix}{key}.")
+
+
 def _synth_split(cfg: dict, null: bool = False):
     from .data import default_synth_spec, null_synth_spec, split_dataset, synth_generate
     d = cfg["data"]
@@ -245,8 +257,9 @@ def cmd_evaluate(args) -> int:
     resolved_path = run_dir / "config.resolved"
     if not resolved_path.exists():
         raise FileNotFoundError(f"{resolved_path} not found")
+    from .config import build_model_config, default_config
     cfg = _read_json(resolved_path)
-    from .config import build_model_config
+    _require_keys(cfg, default_config(), resolved_path)
     from .model import BrainSequenceClassifier, variant_config
     from .training import evaluate
 

@@ -539,21 +539,26 @@ def bmv(a: Tensor, x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map on the last axis: x[..., d_in] @ w[d_out, d_in].T + b."""
+    """Affine map on the last axis: x[..., d_in] @ w[d_out, d_in].T + b.
+
+    The leading axes are flattened, so the product is one GEMM, and the bias
+    is added in place.
+    """
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    val = x.data @ w.data.T
+    d_out, d_in = w.shape
+    val = (x.data.reshape(-1, d_in) @ w.data.T).reshape(x.shape[:-1] + (d_out,))
     if b is not None:
-        val = val + b.data
+        val += b.data
     out = Tensor._wrap(val)
     parents = (x, w) if b is None else (x, w, b)
     tape = _recording(*parents)
     if tape is not None:
         xd, wd = x.data, w.data
         def vjp(g):
-            g2 = g.reshape(-1, wd.shape[0])
-            gx = (g @ wd) if x.requires_grad else None
-            gw = (g2.T @ xd.reshape(-1, wd.shape[1])) if w.requires_grad else None
+            g2 = g.reshape(-1, d_out)
+            gx = (g2 @ wd).reshape(xd.shape) if x.requires_grad else None
+            gw = (g2.T @ xd.reshape(-1, d_in)) if w.requires_grad else None
             gb = g2.sum(axis=0) if (b is not None and b.requires_grad) else None
             return (gx, gw) if b is None else (gx, gw, gb)
         tape._record(out, parents, vjp)
@@ -605,21 +610,33 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -2, -3)
 
 
+# Score entries per forward chunk of ``attention``: 1 MB of float64, so one
+# chunk's scores stay in a 2 MB L2 between passes.
+_CHUNK = 1 << 17
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               mask: Optional[np.ndarray] = None, heads: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention as one tape node.
 
     ``q`` is (..., m, H·d), ``k`` (..., n, H·d) and ``v`` (..., n, H·dv), with
-    H = ``heads`` and an optional leading batch axis; the output is
-    (..., m, H·dv). Head h is columns h·d to (h+1)·d of q and k and h·dv to
-    (h+1)·dv of v and the output: softmax(q kᵀ·scale + mask) v, with ``mask``
-    a constant (m, n) array. Heads are views, and products are written
-    through views into (..., L, H·w) arrays, so no head-major copy of q, k or
-    v is kept (kᵀ alone is copied, for the score product).
+    H = ``heads`` and optional leading axes; the output is (..., m, H·dv).
+    Head h is columns h·d to (h+1)·d of q and k and h·dv to (h+1)·dv of v
+    and the output: softmax(q kᵀ·scale + mask) v, with ``mask`` a constant
+    (m, n) array. Heads are views, and every product is written through
+    views, so no head-major copy of q, k, v or the output is made.
 
-    The forward keeps E = exp(S - max), its row sums l and O; the backward
-    is FlashAttention's (Dao et al. 2022): with G = dO / l, dV = Eᵀ G and
-    dS = E ⊙ (G vᵀ - rowsum(G ⊙ O)) · scale, so no probabilities are formed
+    The scores are stored key-outer, as E of shape (n, ..., H, m): E[j] is
+    key j's slab, written by ``k qᵀ`` through a view. The row max and row sum
+    are then elementwise maxima and sums of n contiguous slabs. The forward
+    walks the first leading axis in chunks of about ``_CHUNK`` scores, so a
+    chunk's passes run from L2; with nothing recording, one chunk's buffers
+    are reused and the full E is never formed.
+
+    When a tape records, the chunks fill the full E = exp(S - max), which the
+    vjp keeps with the row sums l and O. The backward is FlashAttention's
+    (Dao et al. 2022), in the same layout: with G = dO / l, dV = E G and
+    dS = E ⊙ (v Gᵀ - rowsum(G ⊙ O)) · scale, so no probabilities are formed
     and the row sum runs over dv, not over n.
     """
     lead = q.shape[:-2]
@@ -628,43 +645,60 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} must be "
                          f"(...,m,H·d), (...,n,H·d) and (...,n,H·dv) with H={heads}")
-    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
-
-    def merged(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
-        # a @ b per head, written into the heads' columns of a new (..., L, H·w)
-        res = np.empty(shape)
-        np.matmul(a, b, out=_heads(res, heads))
-        return res
-
-    e = qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))
-    e *= scale
-    if mask is not None:
-        if mask.shape != e.shape[-2:]:
-            raise ShapeError(f"attention: mask {mask.shape} does not match scores {e.shape}")
-        e += mask
-    e -= _row_max(e)
-    np.exp(e, out=e)
-    norm = _row_sum(e)
-    o = merged(e, vh, q.shape[:-1] + v.shape[-1:])
-    oh = _heads(o, heads)
-    oh /= norm
-    out = Tensor._wrap(o)
+    m, n = q.shape[-2], k.shape[-2]
+    if mask is not None and mask.shape != (m, n):
+        raise ShapeError(f"attention: mask {mask.shape} does not match scores {(m, n)}")
+    o = np.empty(q.shape[:-1] + v.shape[-1:])
+    # with no leading axis, work on a leading axis of one
+    qh, kh, vh, oh = (_heads(a if lead else a[None], heads) for a in (q.data, k.data, v.data, o))
+    steps, slab = qh.shape[0], qh.shape[1:-1]   # slab: (..., H, m) per step
+    per_step = n * math.prod(slab)
+    chunk = max(1, min(steps, _CHUNK // per_step))
     tape = _recording(q, k, v)
+    kept = steps if tape is not None else chunk   # untaped, one chunk's buffers are reused
+    e = np.empty((n, kept) + slab)
+    norm = np.empty((kept,) + slab)
+    mask_t = None if mask is None else mask.T.reshape((n,) + (1,) * len(slab) + (m,))
+    for s0 in range(0, steps, chunk):
+        s1 = min(s0 + chunk, steps)
+        b = slice(s0, s1) if tape is not None else slice(0, s1 - s0)
+        ec, lc = e[:, b], norm[b]
+        ek = np.moveaxis(ec, 0, -2)   # (..., H, n, m)
+        np.matmul(kh[s0:s1], np.swapaxes(qh[s0:s1], -1, -2), out=ek)
+        ec *= scale
+        if mask_t is not None:
+            ec += mask_t
+        ec -= np.maximum.reduce(ec, axis=0)
+        np.exp(ec, out=ec)
+        np.add.reduce(ec, axis=0, out=lc)
+        np.matmul(np.swapaxes(ek, -1, -2), vh[s0:s1], out=oh[s0:s1])
+        oh[s0:s1] /= lc[..., None]
+    out = Tensor._wrap(o)
     if tape is not None:
+        ek = np.moveaxis(e, 0, -2)
+
+        def merged(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+            # a @ b per head, written into the heads' columns of a new (..., L, H·w)
+            res = np.empty(shape)
+            np.matmul(a, b, out=_heads(res if lead else res[None], heads))
+            return res
+
         def vjp(g):
             gq = gk = gv = None
-            gl = _heads(g, heads) / norm
+            gl = _heads(g if lead else g[None], heads) / norm[..., None]
             if v.requires_grad:
-                gv = merged(np.swapaxes(e, -1, -2), gl, v.shape)
+                gv = merged(ek, gl, v.shape)
             if q.requires_grad or k.requires_grad:
-                ds = gl @ np.swapaxes(vh, -1, -2)
-                ds -= _row_sum(gl * oh)
+                ds = np.empty_like(e)
+                dsk = np.moveaxis(ds, 0, -2)   # (..., H, n, m)
+                np.matmul(vh, np.swapaxes(gl, -1, -2), out=dsk)
+                ds -= np.add.reduce(gl * oh, axis=-1)
                 ds *= e
                 ds *= scale
                 if q.requires_grad:
-                    gq = merged(ds, kh, q.shape)
+                    gq = merged(np.swapaxes(dsk, -1, -2), kh, q.shape)
                 if k.requires_grad:
-                    gk = merged(np.swapaxes(ds, -1, -2), qh, k.shape)
+                    gk = merged(dsk, qh, k.shape)
             return (gq, gk, gv)
         tape._record(out, (q, k, v), vjp)
     return out
@@ -821,9 +855,9 @@ def scaled_self_outer(h: Tensor, gram: Optional[Tensor] = None) -> Tensor:
     raw = hg @ np.swapaxes(hd, -1, -2)
     if gram is None:
         raw *= scale
-    n = h.shape[-2]
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    out = Tensor._wrap(np.where(upper, raw, np.swapaxes(raw, -1, -2)))
+    for i in range(1, h.shape[-2]):   # the strict upper triangle onto the lower, in place
+        raw[..., i, :i] = raw[..., :i, i]
+    out = Tensor._wrap(raw)
     parents = (h,) if gram is None else (h, gram)
     tape = _recording(*parents)
     if tape is not None:

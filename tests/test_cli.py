@@ -154,6 +154,10 @@ class TestFlags:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+CONFIG_WITHOUT_DATA_LENGTH = default_config()
+del CONFIG_WITHOUT_DATA_LENGTH["data"]["length"]
+
+
 class TestExitCodes:
     def test_epochs_zero_is_usage_error(self, tmp_path):
         out = tmp_path / "r"
@@ -192,6 +196,17 @@ class TestExitCodes:
         (run_dir / "config.resolved").write_text(text)
         assert run_cli("evaluate", "--run", str(run_dir), "--quiet") == 2
         assert "config.resolved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,missing", [({"seed": 1}, "variant"),
+                                             (CONFIG_WITHOUT_DATA_LENGTH, "data.length")])
+    def test_evaluate_on_a_config_missing_a_key_is_data_error(self, tmp_path, capsys,
+                                                               cfg, missing):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "config.resolved").write_text(json.dumps(cfg))
+        assert run_cli("evaluate", "--run", str(run_dir), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "config.resolved" in err and f"missing key {missing}" in err
 
     def test_gradcheck_clean_exit(self):
         assert run_cli("gradcheck", "--seeds", "1", "--quiet",

@@ -1,6 +1,7 @@
 """Core tensor / autodiff engine tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,23 +218,34 @@ ATTENTION_CASES = [
     (None, 12, 12, 16, 16, False, 4),   # surrogate block: (L, H·d), no batch axis
     (None, 8, 128, 32, 32, True, 1),    # token compression as it is called
 ]
+# lead axes that span several forward chunks and end in a ragged one
+CHUNKED_CASES = [
+    (2050, 16, 16, 4, 4, False, 4),     # 128 steps a chunk: 16 chunks, then 2 steps
+    (300, 8, 128, 4, 4, True, 2),       # 64 steps a chunk: 4 chunks, then 44 steps
+]
+ATTENTION_CASES += CHUNKED_CASES
 
 
 def _case_id(case):
     return "-".join(map(str, case[:6])) + ("" if case[6] == 1 else f"-{case[6]}heads")
 
 
+def attention_case(B, m, n, d, dv, masked, heads):
+    """The q, k and v shapes and the mask of one ``ATTENTION_CASES`` entry."""
+    mask = None
+    if masked:
+        mask = np.zeros((m, n))
+        mask[:, n // 2:] = -1e30
+        mask[0, 1] = 0.7
+    lead = () if B is None else (B,)
+    return [lead + (m, heads * d), lead + (n, heads * d), lead + (n, heads * dv)], mask
+
+
 class TestAttention:
     @pytest.mark.parametrize("B,m,n,d,dv,masked,heads", ATTENTION_CASES,
                              ids=[_case_id(c) for c in ATTENTION_CASES])
     def test_matches_composed_reference(self, B, m, n, d, dv, masked, heads):
-        mask = None
-        if masked:
-            mask = np.zeros((m, n))
-            mask[:, n // 2:] = -1e30
-            mask[0, 1] = 0.7
-        lead = () if B is None else (B,)
-        shapes = [lead + (m, heads * d), lead + (n, heads * d), lead + (n, heads * dv)]
+        shapes, mask = attention_case(B, m, n, d, dv, masked, heads)
         def op(*args):
             return tt.attention(*args, heads=heads)
         out, grads = attention_out_and_grads(op, shapes, mask, seed=n + d, heads=heads)
@@ -242,6 +254,35 @@ class TestAttention:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         for name, g, want in zip("qkv", grads, ref_grads):
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("B,m,n,d,dv,masked,heads", ATTENTION_CASES,
+                             ids=[_case_id(c) for c in ATTENTION_CASES])
+    def test_untaped_forward_is_the_taped_one(self, B, m, n, d, dv, masked, heads):
+        shapes, mask = attention_case(B, m, n, d, dv, masked, heads)
+        rng = np.random.default_rng(n + d)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        untaped = tt.attention(*map(Tensor, arrays), 0.5, mask, heads=heads)
+        with Tape():
+            taped = tt.attention(*(Tensor(a, requires_grad=True) for a in arrays), 0.5, mask,
+                                 heads=heads)
+        assert np.array_equal(untaped.data, taped.data)
+
+    def test_chunked_cases_span_several_chunks(self):
+        for B, m, n, d, dv, masked, heads in CHUNKED_CASES:
+            steps_per_chunk = tt._CHUNK // (heads * m * n)
+            assert 2 * steps_per_chunk < B and B % steps_per_chunk
+
+    def test_untaped_peak_memory_is_below_one_score_tensor(self):
+        rng = np.random.default_rng(0)
+        q, k, v = (Tensor(rng.normal(size=(2048, 16, 16))) for _ in range(3))
+        scores_bytes = 2048 * 4 * 16 * 16 * 8   # (T·H, 16, 16) float64, 16.8 MB
+        tracemalloc.start()
+        try:
+            tt.attention(q, k, v, 0.5, heads=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scores_bytes
 
     def test_records_one_node(self):
         rng = np.random.default_rng(1)
