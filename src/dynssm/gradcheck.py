@@ -240,9 +240,10 @@ def _check_relu(seed: int):
 
 
 def _check_encoder(seed: int):
-    # d_lat 8 with 2 conv features and 4 heads runs unfactored; with one conv
-    # feature and 2 heads it factors ((2+1)(1+1) = 6 < 8), and there the
-    # sequence's adjacency and filtered signal are probed.
+    # d_lat 8 with 2 conv features and 4 heads runs unfactored, and its
+    # filter is one attention on the embeddings; with one conv feature and
+    # 2 heads it factors ((2+1)(1+1) = 6 < 8). At both widths the
+    # embeddings, the adjacency and the filtered signal are probed.
     def build(s, conv_features, heads):
         rng = CounterRng(s)
         params = gr.NodeEncoderParams.create(rng, d_lat=8, conv_features=conv_features,
@@ -257,13 +258,10 @@ def _check_encoder(seed: int):
         s = _off_kink_seed(seed, runner)
         params, x = build(s, conv_features, heads)
         targets = [x, *params.named_params().values()]
-        if gr._factored(params):
-            def fn(ps):
-                seq = gr.encode_sequence(x, params)
-                return _weighted_sum(seq.adjacency, s) + _weighted_sum(seq.filtered, s + 1)
-        else:
-            def fn(ps):
-                return _weighted_sum(gr.encode_nodes(x, params), s)
+        def fn(ps):
+            seq = gr.encode_sequence(x, params)
+            return _weighted_sum(seq.adjacency, s) + _weighted_sum(seq.filtered, s + 1) + \
+                   _weighted_sum(seq.embeddings, s + 2)
         worst = max(worst, finite_diff_check(fn, targets))
     return worst
 

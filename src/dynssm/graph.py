@@ -3,7 +3,10 @@
 A shared node encoder (grouped temporal convolution + per-time-step
 self-attention across channels) embeds every region at every time step;
 pairwise scaled dot products of the embeddings give a symmetric adjacency
-matrix per step, which filters the raw signal.
+matrix per step, which filters the raw signal. Both are formed only when
+read (``DynGraphSequence``). The default filter, softmax(Z_t Z_tᵀ/√d) x_t,
+is scaled dot-product attention with q = k = Z and v = x, so at unfactored
+widths it is one ``tt.attention`` call and forms no (T, N, N) tensor.
 
 The attention's query, key and value maps act on ``h = proj(feats)``, and
 nothing non-linear sits between ``proj`` and them, so each is applied as one
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -60,7 +64,11 @@ class NodeEncoderParams:
     proj_b: Tensor        # (d_lat,)
     attn: dict = field(default_factory=dict)   # wq/wk/wv/wo (d_lat, d_lat) + bq/bv/bo
     heads: int = 4
-    attention_enabled: bool = True
+
+    @property
+    def attention_enabled(self) -> bool:
+        """With attention off, ``attn`` is empty: no array is made that nothing reads."""
+        return bool(self.attn)
 
     @property
     def kernel_size(self) -> int:
@@ -79,7 +87,7 @@ class NodeEncoderParams:
         if heads <= 0 or d_lat % heads != 0:
             raise ConfigError(f"d_lat={d_lat} must be divisible by heads={heads}")
         attn = {}
-        for name in ("wq", "wk", "wv", "wo"):
+        for name in ("wq", "wk", "wv", "wo") if attention_enabled else ():
             attn[name] = tt.init_weight(rng, (d_lat, d_lat), d_lat)
             if name != "wk":   # softmax cancels a key bias (module docstring)
                 attn["b" + name[1]] = Tensor(np.zeros(d_lat), requires_grad=True)
@@ -90,7 +98,6 @@ class NodeEncoderParams:
             proj_b=Tensor(np.zeros(d_lat), requires_grad=True),
             attn=attn,
             heads=heads,
-            attention_enabled=attention_enabled,
         )
 
     def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:
@@ -105,19 +112,47 @@ class NodeEncoderParams:
 class DynGraphSequence:
     """Per-step adjacency matrices, filtered signals, and node embeddings.
 
-    The embeddings are ``nodes`` itself, or ``nodes @ basis.T`` when the
-    encoder ran factored; then they are formed only when read.
+    ``encode_sequence`` computes only ``nodes`` (and ``basis``); the rest is
+    formed when read, so a forward pays only for what it uses. The
+    adjacency and the filtered signal are formed once, at their first read,
+    on whatever tape records then. The embeddings are ``nodes`` itself, or
+    ``nodes @ basis.T`` when the encoder ran factored.
     """
 
-    adjacency: Tensor                # (T, N, N), symmetric per step
-    filtered: Tensor                 # (T, N)
+    signal: Tensor                   # (T, N), the signal the graphs filter
     nodes: Tensor                    # (T, N, d_lat), or (T, N, k) on ``basis``
     basis: Optional[Tensor] = None   # (d_lat, k)
+    mode: str = "row_normalized"
 
     @property
     def embeddings(self) -> Tensor:
         """(T, N, d_lat)."""
         return self.nodes if self.basis is None else tt.linear(self.nodes, self.basis)
+
+    @cached_property
+    def adjacency(self) -> Tensor:
+        """(T, N, N), mirrored by ``tt.scaled_self_outer``: symmetric bit for bit.
+
+        Factored, it is ``Z (UᵀU / √d_lat) Zᵀ``, with no (T, N, d_lat) tensor.
+        """
+        u = self.basis
+        gram = None if u is None else tt.matmul(u.T, u) * (1.0 / math.sqrt(u.shape[0]))
+        return tt.scaled_self_outer(self.nodes, gram)
+
+    @cached_property
+    def filtered(self) -> Tensor:
+        """(T, N): each step's signal through its adjacency's ``_filter_weights``.
+
+        Unfactored and ``row_normalized``, that is softmax(Z Zᵀ/√d) x per
+        step: one attention with q = k = Z and v = x, which forms no
+        adjacency. Otherwise the adjacency is read.
+        """
+        x, z = self.signal, self.nodes
+        if self.basis is None and self.mode == "row_normalized":
+            T, N = x.shape
+            return tt.attention(z, z, x.reshape((T, N, 1)),
+                                1.0 / math.sqrt(z.shape[-1])).reshape((T, N))
+        return tt.bmv(_filter_weights(self.adjacency, self.mode), x)
 
 
 def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
@@ -241,17 +276,15 @@ def encode_sequence(x: Tensor, params: NodeEncoderParams,
     """Embeddings, per-step adjacency, and filtered signal for a full scan.
 
     Equivalent to calling infer_adjacency / graph_filter at every t; no
-    sliding windows are involved. At widths that factor, the adjacency is
-    ``Z (UᵀU / √d_lat) Zᵀ`` and no (T, N, d_lat) tensor is formed.
+    sliding windows are involved. Only the node embeddings (or, at widths
+    that factor, Z and U) are computed here; the adjacency and the filtered
+    signal are formed when read (``DynGraphSequence``).
     """
     if _factored(params):
         z, u = _node_factors(x, params)
-        gram = tt.matmul(u.T, u) * (1.0 / math.sqrt(params.d_lat))
     else:
-        z, u, gram = encode_nodes(x, params), None, None
-    g_seq = tt.scaled_self_outer(z, gram)
-    filtered = tt.bmv(_filter_weights(g_seq, mode), x)
-    return DynGraphSequence(adjacency=g_seq, filtered=filtered, nodes=z, basis=u)
+        z, u = encode_nodes(x, params), None
+    return DynGraphSequence(signal=x, nodes=z, basis=u, mode=mode)
 
 
 def static_filter(x: Tensor, g_seq: Tensor, mode: str = "row_normalized") -> Tensor:

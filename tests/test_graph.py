@@ -115,7 +115,8 @@ def unfolded_encode_nodes(x, params):
 def randomize_biases(params, seed):
     """Non-zero biases everywhere: zero ones hide mistakes in a ones column."""
     rng = CounterRng(seed)
-    for b in (params.conv_b, params.proj_b, *(params.attn["b" + n] for n in "qvo")):
+    biases = (t for name, t in params.attn.items() if name.startswith("b"))
+    for b in (params.conv_b, params.proj_b, *biases):
         b.data = rng.normal(b.shape)
     return params
 
@@ -232,6 +233,51 @@ class TestFactoredEncoder:
         seq, wide = self.d_lat_wide_nodes(gr.encode_sequence, x, p)
         assert seq.basis is None and seq.embeddings is seq.nodes
         assert len(wide) > 1   # q/k/v, the context and h itself
+
+
+class TestAttentionFilter:
+    """At unfactored widths the row-normalized filter is one attention on Z."""
+
+    @pytest.mark.parametrize("T", [40, 2050])   # 2050 steps span several chunks
+    def test_matches_softmax_of_adjacency(self, T):
+        p = randomize_biases(make_params(seed=3, **DESK), 4)
+        assert not gr._factored(p)
+        x = CounterRng(5).normal((T, 16))
+        w = CounterRng(7).normal((T, 16))
+
+        def run(filtered):
+            xt = Tensor(x, requires_grad=True)
+            named = {"x": xt, **p.named_params()}
+            with tt.Tape() as tape:
+                f = filtered(xt)
+                grads = tape.backward(tt.tsum(tt.mul(f, Tensor(w))),
+                                      params=list(named.values()))
+            return f.data, {k: grads[v] for k, v in named.items()}
+
+        def reference(xt):
+            g = tt.scaled_self_outer(gr.encode_nodes(xt, p))
+            return tt.bmv(tt.softmax(g, axis=-1), xt)
+
+        f, grads = run(lambda xt: gr.encode_sequence(xt, p).filtered)
+        ref_f, ref_grads = run(reference)
+        assert np.max(np.abs(f - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
+        assert_grads_close(grads, ref_grads)
+        untaped = gr.encode_sequence(Tensor(x), p).filtered.data
+        assert np.max(np.abs(untaped - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
+
+    def test_adjacency_is_formed_once_when_read(self):
+        p = make_params(**DESK)
+        x = Tensor(CounterRng(1).normal((12, 16)))
+        with tt.Tape() as tape:
+            seq = gr.encode_sequence(x, p)
+            assert seq.filtered.shape == (12, 16)
+            before = len(tape.nodes)
+            g = seq.adjacency
+            assert seq.adjacency is g
+        added = [n.vjp.__qualname__ for n in tape.nodes[before:]]
+        assert len(added) == 1 and added[0].startswith("scaled_self_outer.")
+        ref = tt.scaled_self_outer(gr.encode_nodes(x, p)).data
+        assert np.array_equal(g.data, ref)
 
 
 class TestInferAdjacency:

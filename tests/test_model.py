@@ -159,7 +159,10 @@ class TestParamReport:
 
 
 class TestEveryParameterLearns:
-    @pytest.mark.parametrize("cfg", [ModelConfig.desk(), ModelConfig()], ids=["desk", "paper"])
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig.desk(), ModelConfig(),
+        ModelConfig.desk(attention_enabled=False), ModelConfig(attention_enabled=False),
+    ], ids=["desk", "paper", "desk-no-attention", "paper-no-attention"])
     def test_every_trainable_array_gets_a_gradient(self, cfg):
         # A parameter that cannot change the loss is dead weight in the
         # checkpoint, the tape and Adam. LoRA B starts at zero, which would
@@ -199,28 +202,44 @@ class TestForwardModes:
         assert out.shape == (2,)
 
     def test_every_attention_site_is_one_attention_node(self):
-        # Encoder, token compression and two surrogate blocks: four attention
-        # nodes, and no attention left composed from bmm nodes. Heads are
-        # split inside the op, so no site records a transpose node either.
+        # Encoder, graph filter, token compression and two surrogate blocks:
+        # five attention nodes, and no attention left composed from bmm
+        # nodes. Heads are split inside the op, so no site records a
+        # transpose node either. The desk filter is an attention on the
+        # embeddings, so it records no adjacency, softmax or bmv node.
         model = BrainSequenceClassifier(ModelConfig.desk())
         assert model.cfg.backbone == "mamba" and model.cfg.surrogate_blocks == 2
         with tt.Tape() as tape:
             model.forward(CounterRng(5).normal((32, 16)))
         names = [node.vjp.__qualname__ for node in tape.nodes]
-        assert sum(name.startswith("attention.") for name in names) == 4
-        assert not any(name.startswith(("bmm.", "transpose.")) for name in names)
+        assert sum(name.startswith("attention.") for name in names) == 5
+        assert not any(name.startswith(("bmm.", "transpose.", "softmax.", "bmv.",
+                                        "scaled_self_outer.")) for name in names)
 
         model = BrainSequenceClassifier(ModelConfig.desk(backbone="transformer"))
         with tt.Tape() as tape:
             model.forward(CounterRng(5).normal((32, 16)))
         names = [node.vjp.__qualname__ for node in tape.nodes]
-        assert sum(name.startswith("attention.") for name in names) == 5
+        assert sum(name.startswith("attention.") for name in names) == 6
         assert not any(name.startswith("transpose.") for name in names)
 
-    def test_paper_forward_forms_no_d_lat_wide_tensor(self, monkeypatch):
-        # The paper-width encoder runs factored: neither an inference nor a
-        # training forward forms a (T, N, d_lat) tensor.
-        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
+    def test_static_graph_forward_runs_no_dynamic_filter(self):
+        # The static variant reads the adjacency and filters through its time
+        # average; the per-step filter is never formed.
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=12, static_graph=True))
+        with tt.Tape() as tape:
+            model.forward(CounterRng(5).normal((32, 12)))
+        nodes = [(node.vjp.__qualname__, node.out.shape) for node in tape.nodes]
+        assert sum(name.startswith("attention.") for name, _ in nodes) == 4
+        assert not any(name.startswith("attention.") and shape == (32, 12, 1)
+                       for name, shape in nodes)
+        assert not any(name.startswith("bmv.") for name, _ in nodes)
+        assert [shape for name, shape in nodes
+                if name.startswith("scaled_self_outer.")] == [(32, 12, 12)]
+
+    @staticmethod
+    def wrapped_shapes(monkeypatch):
+        """Record the shape of every array an op wraps as its output."""
         shapes = []
         wrap = Tensor._wrap.__func__
 
@@ -229,6 +248,25 @@ class TestForwardModes:
             return wrap(cls, arr)
 
         monkeypatch.setattr(Tensor, "_wrap", classmethod(recording_wrap))
+        return shapes
+
+    def test_desk_forward_forms_no_adjacency(self, monkeypatch):
+        # The default desk filter is one attention: neither an inference nor
+        # a training forward forms a (T, N, N) array. N = 12 keeps it apart
+        # from the (T, N, d_lat) embeddings.
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=12))
+        shapes = self.wrapped_shapes(monkeypatch)
+        x = CounterRng(5).normal((32, 12))
+        model.forward(x)
+        with tt.Tape():
+            model.forward(x, training=True, rng=CounterRng(6))
+        assert (32, 12, model.cfg.d_lat) in shapes and (32, 12, 12) not in shapes
+
+    def test_paper_forward_forms_no_d_lat_wide_tensor(self, monkeypatch):
+        # The paper-width encoder runs factored: neither an inference nor a
+        # training forward forms a (T, N, d_lat) tensor.
+        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
+        shapes = self.wrapped_shapes(monkeypatch)
         x = CounterRng(5).normal((32, 16))
         model.forward(x)
         with tt.Tape():
