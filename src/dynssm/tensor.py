@@ -658,14 +658,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     kept = steps if tape is not None else chunk   # untaped, one chunk's buffers are reused
     e = np.empty((n, kept) + slab)
     norm = np.empty((kept,) + slab)
+    # scale·qᵀ per chunk, contiguous: numpy's stacked product runs several
+    # times slower on a transposed view, and on q = k it takes a syrk path
+    q_t = np.empty((chunk,) + qh.shape[1:-2] + (qh.shape[-1], m))
     mask_t = None if mask is None else mask.T.reshape((n,) + (1,) * len(slab) + (m,))
     for s0 in range(0, steps, chunk):
         s1 = min(s0 + chunk, steps)
         b = slice(s0, s1) if tape is not None else slice(0, s1 - s0)
         ec, lc = e[:, b], norm[b]
         ek = np.moveaxis(ec, 0, -2)   # (..., H, n, m)
-        np.matmul(kh[s0:s1], np.swapaxes(qh[s0:s1], -1, -2), out=ek)
-        ec *= scale
+        qc = q_t[:s1 - s0]
+        np.multiply(np.swapaxes(qh[s0:s1], -1, -2), scale, out=qc)
+        np.matmul(kh[s0:s1], qc, out=ek)
         if mask_t is not None:
             ec += mask_t
         ec -= np.maximum.reduce(ec, axis=0)
