@@ -289,13 +289,14 @@ def cmd_ablate(args) -> int:
     from .config import build_model_config, build_train_config
     from .training import ablation_summary_csv, run_variant, write_jsonl
 
+    train_cfg = build_train_config(cfg)
+    train_cfg.validate()   # fail on bad config before touching the filesystem
     if args.data:
         split = _load_split(cfg, args.data)
     else:
         _, _, split = _synth_split(cfg)
-    n_rois = split.train[0].n_rois
-    base_model_cfg = build_model_config(cfg, n_rois)
-    train_cfg = build_train_config(cfg)
+    base_model_cfg = build_model_config(cfg, split.train[0].n_rois)
+    base_model_cfg.validate()
     out_dir = _run_dir(args, cfg)
     _write_resolved(cfg, out_dir)
 
@@ -362,19 +363,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    lines = ["run,epoch,split,loss,accuracy,precision,recall,f1"]
+    columns = ("epoch", "split", "loss", "accuracy", "precision", "recall", "f1")
+    lines = [",".join(("run",) + columns)]
+
+    def fmt(v):
+        return "" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
     for run in args.runs:
         log_path = Path(run) / "logs.jsonl"
         if not log_path.exists():
             raise FileNotFoundError(f"{log_path} not found")
         for lineno, raw in enumerate(log_path.read_text().splitlines(), start=1):
             rec = _read_json(log_path, raw, lineno)
-            def fmt(key):
-                v = rec.get(key)
-                return "" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
-            lines.append(",".join([Path(run).name, str(rec.get("epoch", "")),
-                                   rec.get("split", ""), fmt("loss"), fmt("accuracy"),
-                                   fmt("precision"), fmt("recall"), fmt("f1")]))
+            lines.append(",".join([Path(run).name] + [fmt(rec.get(c)) for c in columns]))
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(csv_text)

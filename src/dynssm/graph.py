@@ -130,29 +130,34 @@ class DynGraphSequence:
         return self.nodes if self.basis is None else tt.linear(self.nodes, self.basis)
 
     @cached_property
+    def gram(self) -> Optional[Tensor]:
+        """``UᵀU / √d_lat`` when the encoder ran factored, else ``None``."""
+        u = self.basis
+        return None if u is None else tt.matmul(u.T, u) * (1.0 / math.sqrt(u.shape[0]))
+
+    @cached_property
     def adjacency(self) -> Tensor:
         """(T, N, N), mirrored by ``tt.scaled_self_outer``: symmetric bit for bit.
 
         Factored, it is ``Z (UᵀU / √d_lat) Zᵀ``, with no (T, N, d_lat) tensor.
         """
-        u = self.basis
-        gram = None if u is None else tt.matmul(u.T, u) * (1.0 / math.sqrt(u.shape[0]))
-        return tt.scaled_self_outer(self.nodes, gram)
+        return tt.scaled_self_outer(self.nodes, self.gram)
 
     @cached_property
     def filtered(self) -> Tensor:
         """(T, N): each step's signal through its adjacency's ``_filter_weights``.
 
-        Unfactored and ``row_normalized``, that is softmax(Z Zᵀ/√d) x per
-        step: one attention with q = k = Z and v = x, which forms no
-        adjacency. Otherwise the adjacency is read.
+        ``row_normalized`` is softmax(A) x per step, with A = q Zᵀ·scale: one
+        attention with k = Z and v = x, which forms no adjacency. Unfactored,
+        q = Z and scale = 1/√d; factored, q = Z·gram and scale = 1. Other
+        modes read the adjacency.
         """
-        x, z = self.signal, self.nodes
-        if self.basis is None and self.mode == "row_normalized":
-            T, N = x.shape
-            return tt.attention(z, z, x.reshape((T, N, 1)),
-                                1.0 / math.sqrt(z.shape[-1])).reshape((T, N))
-        return tt.bmv(_filter_weights(self.adjacency, self.mode), x)
+        x, z, gram = self.signal, self.nodes, self.gram
+        if self.mode != "row_normalized":
+            return tt.bmv(_filter_weights(self.adjacency, self.mode), x)
+        T, N = x.shape
+        q, scale = (z, 1.0 / math.sqrt(z.shape[-1])) if gram is None else (tt.linear(z, gram), 1.0)
+        return tt.attention(q, z, x.reshape((T, N, 1)), scale).reshape((T, N))
 
 
 def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:

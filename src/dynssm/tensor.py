@@ -567,40 +567,16 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 # --- normalizations ---
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(-1, keepdims=True)``, bit for bit, by pairwise maxima over halves.
-
-    numpy reduces a short last axis one row at a time; a few elementwise
-    maxima over half-width views are faster.
-    """
-    n = x.shape[-1]
-    while n > 1:
-        h = n // 2
-        top = np.maximum(x[..., :h], x[..., h:2 * h])
-        if n % 2:
-            top[..., :1] = np.maximum(top[..., :1], x[..., 2 * h:])
-        x, n = top, h
-    return x
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, keepdims, as one GEMV against ones."""
-    n = x.shape[-1]
-    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis`` (row-max subtracted)."""
-    x = np.moveaxis(a.data, axis, -1)
-    y = x - _row_max(x)
+    """Numerically stabilized softmax along ``axis`` (max subtracted)."""
+    y = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
-    y /= _row_sum(y)
-    out = Tensor._wrap(np.moveaxis(y, -1, axis))
+    y /= y.sum(axis=axis, keepdims=True)
+    out = Tensor._wrap(y)
     tape = _recording(a)
     if tape is not None:
         def vjp(g):
-            g = np.moveaxis(g, axis, -1)
-            return (np.moveaxis((g - _row_sum(g * y)) * y, -1, axis),)
+            return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
         tape._record(out, (a,), vjp)
     return out
 
@@ -695,7 +671,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             if q.requires_grad or k.requires_grad:
                 ds = np.empty_like(e)
                 dsk = np.moveaxis(ds, 0, -2)   # (..., H, n, m)
-                np.matmul(vh, np.swapaxes(gl, -1, -2), out=dsk)
+                np.matmul(vh, np.ascontiguousarray(np.swapaxes(gl, -1, -2)), out=dsk)
                 ds -= np.add.reduce(gl * oh, axis=-1)
                 ds *= e
                 ds *= scale

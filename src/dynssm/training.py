@@ -142,8 +142,9 @@ def train_model(model: BrainSequenceClassifier, train_subjects: list,
                 test_subjects: Optional[list] = None) -> RunResult:
     """Adam training with gradient accumulation and best-by-validation pick.
 
-    A ``val_fraction`` carve-out of the training subjects (at least one per
-    class when possible) selects the checkpoint; per-epoch records go to
+    The first ``round(val_fraction * n)`` subjects (at least one) of one
+    seeded shuffle are held out to select the checkpoint, with no regard to
+    class; with 3 or fewer subjects none are. Per-epoch records go to
     ``log_cb`` and the returned log.
     """
     cfg.validate()

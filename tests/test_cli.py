@@ -181,6 +181,20 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r"), "--quiet") == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("train", "--lr", "nan"),
+                                      ("train", "--set", "train.beta1=NaN"),
+                                      ("train", "--set", "train.eps=0"),
+                                      ("ablate", "--lr", "nan")],
+                             ids=["train-lr", "train-beta1", "train-eps", "ablate-lr"])
+    def test_bad_adam_setting_is_config_error_before_any_file(self, tmp_path,
+                                                               capsys, argv):
+        out = tmp_path / "r"
+        assert run_cli(*argv, "--out", str(out), "--epochs", "1", "--quiet",
+                       "--set", "data.subjects_per_class=3",
+                       "--set", "data.length=24") == 1
+        assert not out.exists()
+        assert "must be" in capsys.readouterr().err
+
     def test_report_on_a_line_that_is_not_json_is_data_error(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -318,12 +332,14 @@ class TestTrainEvaluateFlow:
         assert run_cli("train", "--out", str(run_dir), "--seed", "2", "--epochs", "1",
                        "--quiet", "--set", "data.subjects_per_class=3",
                        "--set", "data.length=24") == 0
+        with open(run_dir / "logs.jsonl", "a") as f:   # a record of odd types
+            f.write('{"epoch": 1, "split": 1}\n')
         report_path = tmp_path / "agg.csv"
         assert run_cli("report", str(run_dir), "--out", str(report_path),
                        "--quiet") == 0
         lines = report_path.read_text().strip().split("\n")
         assert lines[0] == "run,epoch,split,loss,accuracy,precision,recall,f1"
-        assert len(lines) > 1
+        assert len(lines) > 2 and lines[-1] == "run,1,1,,,,,"
 
 
 class TestScanBench:

@@ -236,48 +236,53 @@ class TestFactoredEncoder:
 
 
 class TestAttentionFilter:
-    """At unfactored widths the row-normalized filter is one attention on Z."""
+    """At both widths the row-normalized filter is one attention on Z."""
 
     @pytest.mark.parametrize("T", [40, 2050])   # 2050 steps span several chunks
     def test_matches_softmax_of_adjacency(self, T):
-        p = randomize_biases(make_params(seed=3, **DESK), 4)
-        assert not gr._factored(p)
         x = CounterRng(5).normal((T, 16))
         w = CounterRng(7).normal((T, 16))
 
-        def run(filtered):
+        def run(filtered, p):
             xt = Tensor(x, requires_grad=True)
             named = {"x": xt, **p.named_params()}
             with tt.Tape() as tape:
-                f = filtered(xt)
+                f = filtered(xt, p)
                 grads = tape.backward(tt.tsum(tt.mul(f, Tensor(w))),
                                       params=list(named.values()))
             return f.data, {k: grads[v] for k, v in named.items()}
 
-        def reference(xt):
+        def filtered(xt, p):
+            return gr.encode_sequence(xt, p).filtered
+
+        def reference(xt, p):
             g = tt.scaled_self_outer(gr.encode_nodes(xt, p))
             return tt.bmv(tt.softmax(g, axis=-1), xt)
 
-        f, grads = run(lambda xt: gr.encode_sequence(xt, p).filtered)
-        ref_f, ref_grads = run(reference)
-        assert np.max(np.abs(f - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
-        assert_grads_close(grads, ref_grads)
-        untaped = gr.encode_sequence(Tensor(x), p).filtered.data
-        assert np.max(np.abs(untaped - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
+        for dims in (DESK, PAPER):   # unfactored, then factored
+            p = randomize_biases(make_params(seed=3, **dims), 4)
+            assert gr._factored(p) == (dims is PAPER)
+            f, grads = run(filtered, p)
+            ref_f, ref_grads = run(reference, p)
+            assert np.max(np.abs(f - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
+            assert_grads_close(grads, ref_grads)
+            untaped = filtered(Tensor(x), p).data
+            assert np.max(np.abs(untaped - ref_f)) <= 1e-12 * np.max(np.abs(ref_f))
 
     def test_adjacency_is_formed_once_when_read(self):
-        p = make_params(**DESK)
         x = Tensor(CounterRng(1).normal((12, 16)))
-        with tt.Tape() as tape:
-            seq = gr.encode_sequence(x, p)
-            assert seq.filtered.shape == (12, 16)
-            before = len(tape.nodes)
-            g = seq.adjacency
-            assert seq.adjacency is g
-        added = [n.vjp.__qualname__ for n in tape.nodes[before:]]
-        assert len(added) == 1 and added[0].startswith("scaled_self_outer.")
-        ref = tt.scaled_self_outer(gr.encode_nodes(x, p)).data
-        assert np.array_equal(g.data, ref)
+        for dims in (DESK, PAPER):
+            p = make_params(**dims)
+            with tt.Tape() as tape:
+                seq = gr.encode_sequence(x, p)
+                assert seq.filtered.shape == (12, 16)
+                before = len(tape.nodes)
+                g = seq.adjacency
+                assert seq.adjacency is g
+            added = [n.vjp.__qualname__ for n in tape.nodes[before:]]
+            assert len(added) == 1 and added[0].startswith("scaled_self_outer.")
+            # bit for bit the adjacency of a sequence whose filter was never read
+            assert np.array_equal(g.data, gr.encode_sequence(x, p).adjacency.data)
 
 
 class TestInferAdjacency:

@@ -248,25 +248,20 @@ class TestForwardModes:
         monkeypatch.setattr(Tensor, "_wrap", classmethod(recording_wrap))
         return shapes
 
-    def test_desk_forward_forms_no_adjacency(self, monkeypatch):
-        # The default desk filter is one attention: neither an inference nor
-        # a training forward forms a (T, N, N) array. N = 12 keeps it apart
-        # from the (T, N, d_lat) embeddings.
-        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=12))
+    @pytest.mark.parametrize("paper", [False, True], ids=["desk", "paper"])
+    def test_forward_forms_no_adjacency(self, monkeypatch, paper):
+        # The default filter is one attention at both widths: neither an
+        # inference nor a training forward forms a (T, N, N) array. N = 12
+        # keeps it apart from the (T, N, d_lat) embeddings, which the
+        # factored paper-width encoder does not form either.
+        cfg = ModelConfig(n_rois=12) if paper else ModelConfig.desk(n_rois=12)
+        model = BrainSequenceClassifier(cfg)
         shapes = self.wrapped_shapes(monkeypatch)
         x = CounterRng(5).normal((32, 12))
         model.forward(x)
-        with tt.Tape():
+        with tt.Tape() as tape:
             model.forward(x, training=True, rng=CounterRng(6))
-        assert (32, 12, model.cfg.d_lat) in shapes and (32, 12, 12) not in shapes
-
-    def test_paper_forward_forms_no_d_lat_wide_tensor(self, monkeypatch):
-        # The paper-width encoder runs factored: neither an inference nor a
-        # training forward forms a (T, N, d_lat) tensor.
-        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
-        shapes = self.wrapped_shapes(monkeypatch)
-        x = CounterRng(5).normal((32, 16))
-        model.forward(x)
-        with tt.Tape():
-            model.forward(x, training=True, rng=CounterRng(6))
-        assert (32, 16, 16) in shapes and (32, 16, model.cfg.d_lat) not in shapes
+        assert (32, 12, 12) not in shapes
+        assert ((32, 12, cfg.d_lat) in shapes) != paper
+        assert not any(node.vjp.__qualname__.startswith(("softmax.", "bmv.", "scaled_self_outer."))
+                       for node in tape.nodes)
