@@ -4,9 +4,10 @@ A shared node encoder (grouped temporal convolution + per-time-step
 self-attention across channels) embeds every region at every time step;
 pairwise scaled dot products of the embeddings give a symmetric adjacency
 matrix per step, which filters the raw signal. Both are formed only when
-read (``DynGraphSequence``). The default filter, softmax(Z_t Z_tᵀ/√d) x_t,
-is scaled dot-product attention with q = k = Z and v = x, so at unfactored
-widths it is one ``tt.attention`` call and forms no (T, N, N) tensor.
+read (``DynGraphSequence``). The default filter, softmax(A_t) x_t, is
+scaled dot-product attention with k = Z and v = x (q = Z unfactored, and
+q = Z·UᵀU/√d_lat factored, below), so at every width it is one
+``tt.attention`` call and forms no (T, N, N) tensor.
 
 The attention's query, key and value maps act on ``h = proj(feats)``, and
 nothing non-linear sits between ``proj`` and them, so each is applied as one
@@ -31,7 +32,8 @@ rows sum to 1, so head h's output after ``wo`` is (P_h F̃)(wo_h Ṽ_h)ᵀ, and
                 U = [proj_w | proj_b + bo, wo_1 Ṽ_1, …, wo_H Ṽ_H],
 
 with Z (T, N, (H+1)(c+1)) and U (d_lat, (H+1)(c+1)). The adjacency is then
-Z (UᵀU / √d_lat) Zᵀ, mirrored as ``tt.scaled_self_outer`` does. This form
+Z (UᵀU / √d_lat) Zᵀ, mirrored as ``tt.scaled_self_outer`` does, and the
+filter is the attention with q = Z (UᵀU / √d_lat) and scale 1. This form
 is used where it is narrower: iff (H+1)(c+1) < d_lat (``_factored``), which
 also makes c+1 < dh. The paper width factors (45 < 128) and runs no
 (T, N, d_lat) tensor; the desk width (25 >= 16) does not, and keeps the
@@ -113,10 +115,10 @@ class DynGraphSequence:
     """Per-step adjacency matrices, filtered signals, and node embeddings.
 
     ``encode_sequence`` computes only ``nodes`` (and ``basis``); the rest is
-    formed when read, so a forward pays only for what it uses. The
-    adjacency and the filtered signal are formed once, at their first read,
-    on whatever tape records then. The embeddings are ``nodes`` itself, or
-    ``nodes @ basis.T`` when the encoder ran factored.
+    formed when read, so a forward pays only for what it uses. The Gram,
+    the adjacency and the filtered signal are each formed once, at their
+    first read, on whatever tape records then. The embeddings are ``nodes``
+    itself, or ``nodes @ basis.T`` when the encoder ran factored.
     """
 
     signal: Tensor                   # (T, N), the signal the graphs filter

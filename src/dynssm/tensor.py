@@ -671,6 +671,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             if q.requires_grad or k.requires_grad:
                 ds = np.empty_like(e)
                 dsk = np.moveaxis(ds, 0, -2)   # (..., H, n, m)
+                # Gᵀ contiguous, as qᵀ in the forward; dSᵀ below stays a
+                # view, because copying it measured slower
                 np.matmul(vh, np.ascontiguousarray(np.swapaxes(gl, -1, -2)), out=dsk)
                 ds -= np.add.reduce(gl * oh, axis=-1)
                 ds *= e
