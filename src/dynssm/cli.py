@@ -314,13 +314,22 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_scan_bench(args) -> int:
+    from .errors import ConfigError
+    try:
+        lengths = [int(v) for v in args.lengths.split(",")]
+    except ValueError:
+        lengths = []
+    if not lengths or min(lengths) < 1:
+        raise ConfigError(f"--lengths must be comma-separated positive integers, "
+                          f"got {args.lengths!r}")
+    repeats = args.repeats
+    if repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {repeats}")
     cfg = _resolve(args)
     import numpy as np
     from .rng import CounterRng
     from .ssm import SsmParams, scan_parallel, scan_sequential
 
-    lengths = [int(v) for v in args.lengths.split(",")]
-    repeats = args.repeats
     rng = CounterRng(cfg["seed"])
     params = SsmParams.create(rng, d_in=cfg["data"]["n_rois"], d_h=args.d_h, block_count=1)
     lines = ["T,backend,median_ns,p10_ns,p90_ns"]

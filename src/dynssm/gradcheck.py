@@ -270,11 +270,11 @@ def _check_ssm_forward(seed: int):
     rng = CounterRng(seed)
     params = sm.SsmParams.create(rng, d_in=4, d_h=5, block_count=2)
     x = Tensor(rng.normal((7, 4)), requires_grad=True)
-    targets = [x, params.blocks[0].a, params.blocks[0].w_delta, params.blocks[0].w_b,
-               params.blocks[0].w_mix, params.blocks[1].w_delta, params.w_out]
-    def fn(ps):
-        return _weighted_sum(sm.ssm_forward(x, params), seed)
-    return finite_diff_check(fn, targets)
+    targets = [x, *params.named_params().values()]
+    def check(backend):
+        return finite_diff_check(
+            lambda ps: _weighted_sum(sm.ssm_forward(x, params, backend=backend), seed), targets)
+    return max(check("sequential"), check("parallel"))
 
 
 def _check_surrogate(seed: int):

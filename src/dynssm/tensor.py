@@ -888,6 +888,13 @@ def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
     return s.transpose(1, 0, 2).reshape(nc * chunk, d)[:T]
 
 
+def _scan_chunk(T: int, chunk: Optional[int]) -> int:
+    """The scan's chunk length for T steps: isqrt(T) by default, at most T."""
+    if chunk is not None and chunk < 1:
+        raise ConfigError(f"scan chunk must be at least 1, got {chunk}")
+    return max(1, min(math.isqrt(T) if chunk is None else chunk, T))
+
+
 def selective_scan(a_seq: Tensor, b_seq: Tensor, chunk: Optional[int] = None) -> Tensor:
     """Linear recurrence s_t = a_t * s_{t-1} + b_t with s_0 = 0.
 
@@ -900,10 +907,7 @@ def selective_scan(a_seq: Tensor, b_seq: Tensor, chunk: Optional[int] = None) ->
     if a_seq.shape != b_seq.shape or a_seq.ndim != 2:
         raise ShapeError(f"selective_scan expects matching (T,d) inputs, "
                          f"got {a_seq.shape} and {b_seq.shape}")
-    if chunk is not None and chunk < 1:
-        raise ConfigError(f"scan chunk must be at least 1, got {chunk}")
-    T = a_seq.shape[0]
-    chunk = max(1, min(math.isqrt(T) if chunk is None else chunk, T))
+    chunk = _scan_chunk(a_seq.shape[0], chunk)
     ad = a_seq.data
     states = _chunked_scan(ad, b_seq.data, chunk)
     out = Tensor._wrap(states)

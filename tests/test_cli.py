@@ -355,6 +355,20 @@ class TestScanBench:
             assert fields[1] in ("sequential", "parallel")
             assert all(int(v) > 0 for v in fields[2:])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lengths", "16,,32", "--lengths must be"),
+        ("--lengths", "abc", "--lengths must be"),
+        ("--lengths", "-5", "--lengths must be"),
+        ("--repeats", "0", "--repeats must be"),
+    ], ids=["empty-length", "not-a-number", "negative-length", "zero-repeats"])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench.csv"
+        assert run_cli("scan-bench", "--lengths", "8", "--repeats", "1",
+                       flag, value, "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dynssm: ") and message in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestAblateCli:
     @pytest.mark.slow

@@ -10,7 +10,7 @@ from dynssm import tensor as tt
 from dynssm.errors import ConfigError, ShapeError
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tape, Tensor, finite_diff_check
-from test_tensor import loop_scan, loop_scan_op, loop_scan_vjp, scan_with_grads
+from test_tensor import loop_scan, loop_scan_vjp, scan_with_grads
 
 
 def make_params(seed=0, d_in=8, d_h=12, blocks=2):
@@ -22,8 +22,8 @@ def rel_err(a, b):
 
 
 def rates(x, block):
-    a_seq, bx_seq = sm.selective_rates(Tensor(x), block)
-    return a_seq.data, bx_seq.data
+    _, a_seq, bx_seq = sm.selective_rates(x, block)
+    return a_seq, bx_seq
 
 
 class TestSelectiveParams:
@@ -47,9 +47,9 @@ class TestSelectiveParams:
         lo, hi = 1.0, 0.0
         for _ in range(100):
             x = rng.normal((100, 8))
-            a_seq, _ = sm.selective_rates(Tensor(x), p.blocks[0])
-            lo = min(lo, a_seq.data.min())
-            hi = max(hi, a_seq.data.max())
+            a_seq, _ = rates(x, p.blocks[0])
+            lo = min(lo, a_seq.min())
+            hi = max(hi, a_seq.max())
         assert 0.0 < lo and hi < 1.0
 
 
@@ -173,8 +173,13 @@ class TestSsmForward:
                 grads = tape.backward(tt.tsum(out * w), params=plist + [xt])
             return [out.data] + [grads[t] for t in plist + [xt]]
         got = run()
-        monkeypatch.setattr(tt, "selective_scan", lambda a, b, chunk=None: loop_scan_op(a, b))
+        chunks = []
+        def loop_kernel(a, b, chunk):
+            chunks.append(chunk)
+            return loop_scan(a, b)
+        monkeypatch.setattr(tt, "_chunked_scan", loop_kernel)
         ref = run()
+        assert chunks == [40] * 4   # each block's forward and backward ran the loop
         assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
     def test_backends_agree(self):
@@ -205,6 +210,72 @@ class TestSsmForward:
         def fn(ps):
             return tt.tsum(tt.mul(sm.ssm_forward(ps[0], p), Tensor(w)))
         assert finite_diff_check(fn, [x, p.blocks[0].a, p.blocks[0].w_b]) < 1e-4
+
+
+def composite_block(u, blk, chunk):
+    """The block as separate tape ops: rates, then tt.selective_scan."""
+    delta = tt.softplus(tt.linear(u, blk.w_delta, blk.delta_bias))
+    a_seq = tt.exp(-(delta * tt.softplus(blk.a)))
+    return tt.selective_scan(a_seq, delta * tt.linear(u, blk.w_b), chunk=chunk)
+
+
+class TestSelectiveBlock:
+    @pytest.mark.parametrize("T", [1, 7, 65, 4097])
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_matches_the_composite(self, T, sequential):
+        p = make_params(seed=T, d_in=6, d_h=9)
+        blk = p.blocks[0]
+        chunk = T if sequential else None
+        g = Tensor(CounterRng(T + 1).normal((T, 9)))
+        def run(op):
+            u = Tensor(CounterRng(T).normal((T, 6)), requires_grad=True)
+            leaves = [u, blk.w_delta, blk.delta_bias, blk.w_b, blk.a]
+            with Tape() as tape:
+                states = op(u, blk, chunk)
+                grads = tape.backward(tt.tsum(states * g), params=leaves)
+            return states.data, [grads[t] for t in leaves]
+        states, grads = run(sm.selective_block)
+        ref_states, ref_grads = run(composite_block)
+        assert states.tobytes() == ref_states.tobytes()
+        for got, ref in zip(grads, ref_grads):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_tape_node_per_block(self):
+        p = make_params(blocks=3)
+        x = Tensor(CounterRng(19).normal((10, 8)))
+        with Tape() as tape:
+            sm.selective_block(x, p.blocks[0])
+            assert len(tape.nodes) == 1
+            sm.ssm_forward(x, p)
+        # three blocks, two residual mixes (linear + add) and the readout
+        assert len(tape.nodes) == 1 + 3 + 2 * 2 + 1
+
+    def test_taped_long_forward_keeps_little(self):
+        import tracemalloc
+        p = sm.SsmParams.create(CounterRng(1), d_in=16, d_h=32, block_count=2)
+        x = Tensor(CounterRng(2).normal((4096, 16)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                out = sm.ssm_forward(x, p)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4096, 32)
+        assert kept <= 8 * 2**20, f"taped forward keeps {kept / 2**20:.1f} MiB"
+
+    def test_empty_sequence_rejected(self):
+        p = make_params()
+        for backend in ("sequential", "parallel"):
+            with pytest.raises(ShapeError):
+                sm.ssm_forward(Tensor(np.zeros((0, 8))), p, backend=backend)
+        with pytest.raises(ShapeError):
+            sm.selective_block(Tensor(np.zeros((0, 8))), p.blocks[0])
+
+    def test_input_width_checked(self):
+        with pytest.raises(ShapeError):
+            sm.selective_block(Tensor(np.zeros((4, 7))), make_params().blocks[0])
 
 
 class TestExhaustiveSmallT:

@@ -459,17 +459,6 @@ def loop_scan_vjp(a, states, g):
     return ga, gb
 
 
-def loop_scan_op(a_seq, b_seq):
-    """The reference loops as a tape op, for whole-model reference gradients."""
-    states = loop_scan(a_seq.data, b_seq.data)
-    out = Tensor._wrap(states)
-    tape = tt._recording(a_seq, b_seq)
-    if tape is not None:
-        tape._record(out, (a_seq, b_seq),
-                     lambda g: loop_scan_vjp(a_seq.data, states, g))
-    return out
-
-
 def scan_with_grads(a, b, g, chunk=None):
     """selective_scan's states and its (grad_a, grad_b) for the cotangent g."""
     at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
