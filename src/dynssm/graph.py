@@ -38,6 +38,16 @@ is used where it is narrower: iff (H+1)(c+1) < d_lat (``_factored``), which
 also makes c+1 < dh. The paper width factors (45 < 128) and runs no
 (T, N, d_lat) tensor; the desk width (25 >= 16) does not, and keeps the
 folded form above, which is faster there.
+
+Unfactored, the encoder runs in blocks of B time steps (``_block_steps``),
+B = max(1, ``tt._CHUNK`` // (2·N·d_lat)), so that two of a block's
+(B, N, d_lat) arrays fill one attention chunk, about an L2: 256 steps at
+the desk width with N = 16. A block's projection, attention and residual
+sum are formed before the next block starts, and one ``tt.concat`` joins
+the blocks. The attention is per step, so this is the whole-sequence
+result bit for bit, and a long forward never holds full-length q, k, v or
+context arrays. A sequence of at most B steps is one block, with no slice
+or concat node.
 """
 
 from __future__ import annotations
@@ -236,21 +246,41 @@ def _node_factors(x: Tensor, params: NodeEncoderParams) -> tuple[Tensor, Tensor]
     return tt.concat([f1, mixed], axis=-1), u
 
 
+def _block_steps(n_rois: int, d_lat: int) -> int:
+    """Time steps per encoder block: two (steps, N, d_lat) arrays hold ``tt._CHUNK`` floats."""
+    return max(1, tt._CHUNK // (2 * n_rois * d_lat))
+
+
+def _embed(feats: Tensor, params: NodeEncoderParams) -> Tensor:
+    """``proj(feats)``, plus the ROI attention when it is enabled."""
+    h = tt.linear(feats, params.proj_w, params.proj_b)
+    if params.attention_enabled:
+        h = h + _roi_attention(feats, params)
+    return h
+
+
 def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
     """Embed every region at every time step: (T, N) -> (T, N, d_lat).
 
     ``h = proj(conv_stage(x))``, plus ``attn(h)`` when attention is enabled.
     At widths that factor (``_factored``), h is formed only as ``Z Uᵀ``;
     otherwise the attention takes its q/k/v from the conv features through
-    the folded maps.
+    the folded maps, in blocks of ``_block_steps`` time steps joined by one
+    ``tt.concat`` (module docstring). The attention is per step, so the
+    blocks are exact, and only one block's q, k, v and context are live at
+    a time. A sequence of at most one block, or one with attention off,
+    runs whole, with no slice or concat node.
     """
     if _factored(params):
         return tt.linear(*_node_factors(x, params))
     feats = conv_stage(x, params)
-    h = tt.linear(feats, params.proj_w, params.proj_b)
-    if params.attention_enabled:
-        h = h + _roi_attention(feats, params)
-    return h
+    T, N, _ = feats.shape
+    step = _block_steps(N, params.d_lat)
+    if T <= step or not params.attention_enabled:
+        return _embed(feats, params)
+    blocks = [_embed(feats[t:t + step], params) for t in range(0, T, step)]
+    del feats   # untaped, the conv features go before the concat's output is made
+    return tt.concat(blocks, axis=0)
 
 
 def infer_adjacency(h_t: Tensor) -> Tensor:

@@ -587,7 +587,9 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 # Score entries per forward chunk of ``attention``: 1 MB of float64, so one
-# chunk's scores stay in a 2 MB L2 between passes.
+# chunk's scores stay in a 2 MB L2 between passes. ``graph.encode_nodes``
+# sizes its time blocks by the same budget: two of a block's (steps, N,
+# d_lat) arrays hold ``_CHUNK`` floats (``graph._block_steps``).
 _CHUNK = 1 << 17
 
 
@@ -787,7 +789,7 @@ def grouped_conv1d(x: Tensor, kernel_size: int, weights: Tensor,
     else:
         val = np.einsum("tgik,goik->tgo", win, weights.data)
     if bias is not None:
-        val = val + (bias.data if shared else bias.data.reshape(G, c_out))
+        val += bias.data if shared else bias.data.reshape(G, c_out)
     out = Tensor._wrap(np.ascontiguousarray(val.reshape(T, G * c_out)))
 
     parents = (x, weights) if bias is None else (x, weights, bias)

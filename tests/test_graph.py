@@ -235,6 +235,72 @@ class TestFactoredEncoder:
         assert len(wide) > 1   # q/k/v, the context and h itself
 
 
+def whole_encode_nodes(x, params):
+    """The unfactored encoder over the whole sequence as one block."""
+    feats = gr.conv_stage(x, params)
+    return tt.linear(feats, params.proj_w, params.proj_b) + gr._roi_attention(feats, params)
+
+
+class TestEncoderBlocks:
+    """Unfactored, the encoder runs in blocks of ``_block_steps`` time steps."""
+
+    B = gr._block_steps(16, DESK["d_lat"])
+    LENGTHS = [B - 1, B, B + 1, 4 * B + 2]
+
+    def test_block_rule(self):
+        # two (B, N, d_lat) float64 arrays fill one attention chunk: 256 steps at desk width
+        assert self.B == tt._CHUNK // (2 * 16 * 16) == 256
+        assert gr._block_steps(16, 10**7) == 1
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_untaped_matches_whole_sequence(self, T):
+        p = randomize_biases(make_params(seed=3, **DESK), 4)
+        x = Tensor(CounterRng(T).normal((T, 16)))
+        assert np.array_equal(gr.encode_nodes(x, p).data, whole_encode_nodes(x, p).data)
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_taped_gradients_match_whole_sequence(self, T):
+        p = randomize_biases(make_params(seed=3, **DESK), 4)
+        x = CounterRng(T).normal((T, 16))
+        w = CounterRng(T + 1).normal((T, 16, DESK["d_lat"]))
+
+        def run(encode):
+            xt = Tensor(x, requires_grad=True)
+            named = {"x": xt, **p.named_params()}
+            with tt.Tape() as tape:
+                out = encode(xt, p)
+                grads = tape.backward(tt.tsum(tt.mul(out, Tensor(w))),
+                                      params=list(named.values()))
+            return out.data, {k: grads[v] for k, v in named.items()}
+
+        out, grads = run(gr.encode_nodes)
+        ref_out, ref_grads = run(whole_encode_nodes)
+        assert np.array_equal(out, ref_out)
+        assert_grads_close(grads, ref_grads)
+
+    @staticmethod
+    def taped_nodes(encode, p, x):
+        with tt.Tape() as tape:
+            encode(x, p)
+        return [(n.vjp.__qualname__.split(".")[0], n.out.shape) for n in tape.nodes]
+
+    def test_one_block_records_the_whole_sequence_nodes(self):
+        p = make_params(seed=3, **DESK)
+        for T in (self.B - 1, self.B):
+            x = Tensor(CounterRng(T).normal((T, 16)))
+            nodes = self.taped_nodes(gr.encode_nodes, p, x)
+            assert nodes == self.taped_nodes(whole_encode_nodes, p, x)
+            assert [name for name, _ in nodes].count("attention") == 1
+
+    def test_each_block_is_one_attention_joined_by_one_concat(self):
+        p = make_params(seed=3, **DESK)
+        T = 4 * self.B + 2
+        names = [name for name, _ in self.taped_nodes(gr.encode_nodes, p,
+                                                      Tensor(CounterRng(T).normal((T, 16))))]
+        assert names.count("attention") == names.count("getitem") == 5
+        assert names.count("concat") == 1 and names[-1] == "concat"
+
+
 class TestAttentionFilter:
     """At both widths the row-normalized filter is one attention on Z."""
 

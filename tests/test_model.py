@@ -235,6 +235,20 @@ class TestForwardModes:
         assert [shape for name, shape in nodes
                 if name.startswith("scaled_self_outer.")] == [(32, 12, 12)]
 
+    def test_long_inference_forward_peaks_low(self):
+        # The desk encoder runs in time blocks, so a T=2048 forward never
+        # holds full-length q, k, v and context arrays (4 MiB each) at once.
+        import tracemalloc
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        x = CounterRng(6).normal((2048, 16))
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"T=2048 forward peaks at {peak / 2**20:.1f} MiB"
+
     @staticmethod
     def wrapped_shapes(monkeypatch):
         """Record the shape of every array an op wraps as its output."""
