@@ -266,10 +266,8 @@ def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
     At widths that factor (``_factored``), h is formed only as ``Z Uᵀ``;
     otherwise the attention takes its q/k/v from the conv features through
     the folded maps, in blocks of ``_block_steps`` time steps joined by one
-    ``tt.concat`` (module docstring). The attention is per step, so the
-    blocks are exact, and only one block's q, k, v and context are live at
-    a time. A sequence of at most one block, or one with attention off,
-    runs whole, with no slice or concat node.
+    ``tt.concat`` (module docstring). A sequence of at most one block, or
+    one with attention off, runs whole, with no slice or concat node.
     """
     if _factored(params):
         return tt.linear(*_node_factors(x, params))
