@@ -28,6 +28,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
+
+
 # The flags that several subcommands share; each subcommand adds the ones it reads.
 _FLAGS = {
     "--config": dict(help="JSON config file"),
@@ -36,7 +46,7 @@ _FLAGS = {
     "--seed": dict(type=int, default=None,
                    help="run seed (falls back to DYNS_SEED, then config)"),
     "--profile": dict(choices=list(_PROFILES), default=None),
-    "--threads": dict(type=int, default=DEFAULT_THREADS,
+    "--threads": dict(type=_thread_count, default=DEFAULT_THREADS,
                       help=f"BLAS thread count (default {DEFAULT_THREADS})"),
     "--out": dict(help="output directory"),
     "--quiet": dict(action="store_true", help="suppress progress output"),
@@ -111,6 +121,10 @@ def _pin_threads(argv: list[str]) -> None:
             threads = argv[i + 1]
         elif a.startswith("--threads="):
             threads = a.split("=", 1)[1]
+    try:
+        threads = _thread_count(threads)
+    except argparse.ArgumentTypeError:
+        return   # the parser rejects the value as a usage error
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(threads)
 

@@ -95,6 +95,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1 or self.accumulation_steps < 1:
             raise ConfigError("batch_size and accumulation_steps must be >= 1")
+        if not 0 <= self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 def _field_defaults(cls, internal: tuple) -> dict:

@@ -41,15 +41,19 @@ _M_TRIM_THRESHOLD = -1   # glibc <malloc.h>
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_freed_memory() -> None:
-    """Pin glibc's mmap and trim thresholds (see the module docstring)."""
+def _keep_freed_memory() -> bool:
+    """Pin glibc's mmap and trim thresholds (see the module docstring).
+
+    Returns whether both were set.
+    """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):   # not glibc, or no C library by name
-        return
+        return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    # The trim threshold alone would pin the mmap threshold at 128 kB, so it
+    # is set only once the mmap threshold is.
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
 _keep_freed_memory()

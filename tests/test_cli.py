@@ -87,6 +87,19 @@ class TestThreadPinning:
         assert [os.environ.get(var) for var in THREAD_VARS] == ["2"] * 3
         assert resolved_threads("--threads", "2") == 2
 
+    @pytest.mark.parametrize("argv", [("--threads", "0"), ("--threads", "-1"),
+                                      ("--threads=0",), ("--threads=-1",)])
+    def test_count_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "7")
+        _pin_threads(["train", *argv])
+        assert [os.environ.get(var) for var in THREAD_VARS] == ["7"] * 3
+        out = tmp_path / "r"
+        assert run_cli("train", *argv, "--out", str(out), "--quiet") == 1
+        assert [os.environ.get(var) for var in THREAD_VARS] == ["7"] * 3
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Every long option of every subcommand. A flag joins a subcommand only when
 # its handler reads it.
@@ -184,8 +197,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [("train", "--lr", "nan"),
                                       ("train", "--set", "train.beta1=NaN"),
                                       ("train", "--set", "train.eps=0"),
-                                      ("ablate", "--lr", "nan")],
-                             ids=["train-lr", "train-beta1", "train-eps", "ablate-lr"])
+                                      ("ablate", "--lr", "nan"),
+                                      ("train", "--set", "train.val_fraction=NaN"),
+                                      ("train", "--set", "train.val_fraction=-0.1"),
+                                      ("train", "--set", "train.val_fraction=1.0")],
+                             ids=["train-lr", "train-beta1", "train-eps", "ablate-lr",
+                                  "val-fraction-nan", "val-fraction-negative",
+                                  "val-fraction-one"])
     def test_bad_adam_setting_is_config_error_before_any_file(self, tmp_path,
                                                                capsys, argv):
         out = tmp_path / "r"

@@ -1,13 +1,17 @@
 """Core tensor / autodiff engine tests."""
 
+import ctypes
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dynssm import ssm as sm
 from dynssm import tensor as tt
 from dynssm.errors import ConfigError, ContractError, NumericsError, OracleError, ShapeError
+from dynssm.rng import CounterRng
 from dynssm.tensor import Tape, Tensor, finite_diff_check
 
 
@@ -615,3 +619,37 @@ class TestScaledSelfOuter:
     def test_gram_shape_checked(self):
         with pytest.raises(ShapeError, match="gram"):
             tt.scaled_self_outer(Tensor(np.zeros((4, 3))), Tensor(np.eye(4)))
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.skipif(not (sys.platform.startswith("linux") and tt._keep_freed_memory()),
+                        reason="needs Linux with glibc's mallopt")
+    def test_long_ssm_step_reuses_its_pages(self):
+        import resource
+        p = sm.SsmParams.create(CounterRng(1).child(1), d_in=16, d_h=32, block_count=2)
+        plist = list(p.named_params().values())
+        rng = CounterRng(1).child(2)
+        x, w = Tensor(rng.normal((4096, 16))), Tensor(rng.normal((4096, 32)))
+
+        def step():
+            with Tape() as tape:
+                tape.backward(tt.tsum(sm.ssm_forward(x, p) * w), params=plist)
+
+        for _ in range(3):
+            step()
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            step()
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults) <= 64, f"minor faults per step: {faults}"
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                             ids=["no-mallopt", "no-library"])
+    def test_set_up_is_quiet_without_mallopt(self, cdll, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert tt._keep_freed_memory() is False

@@ -244,10 +244,11 @@ class TestTrainLoop:
         nan, inf = float("nan"), float("inf")
         for bad in ({"learning_rate": nan}, {"learning_rate": inf}, {"beta1": nan},
                     {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": nan}, {"beta2": 1.0},
-                    {"eps": nan}, {"eps": inf}, {"eps": 0.0}):
+                    {"eps": nan}, {"eps": inf}, {"eps": 0.0}, {"val_fraction": nan},
+                    {"val_fraction": -0.1}, {"val_fraction": 1.0}):
             with pytest.raises(ConfigError):
                 TR.TrainConfig(**bad).validate()
-        TR.TrainConfig(beta1=0.0, beta2=0.0).validate()
+        TR.TrainConfig(beta1=0.0, beta2=0.0, val_fraction=0.0).validate()
 
     def test_accumulation_steps_run(self):
         split = self._tiny_split()
