@@ -64,6 +64,9 @@ class ModelConfig:
             raise ConfigError(f"unknown filter mode {self.filter_mode!r}; options: {FILTER_MODES}")
         if self.prompt_len < 1 or self.prompt_len >= self.vocab:
             raise ConfigError("prompt_len must be in [1, vocab)")
+        for name in ("kernel_size", "conv_features", "k_tokens", "d_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def desk(cls, n_rois: int = 16, **overrides) -> "ModelConfig":

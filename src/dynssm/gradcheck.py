@@ -113,17 +113,26 @@ def _check_softmax(seed: int, log_mode: bool = False):
 
 
 def _check_attention(seed: int):
-    # one head, then masked, then two heads (dv != d), then with no batch axis
+    # one head, then masked, then two heads (dv != d), then with no batch
+    # axis; then two heads sharing one head's k and v, then queries formed
+    # by a q_map from 3-wide inputs
     q = Tensor(_rand(seed, (2, 3, 4)), requires_grad=True)
     k = Tensor(_rand(seed + 1, (2, 5, 4)), requires_grad=True)
     v = Tensor(_rand(seed + 2, (2, 5, 6)), requires_grad=True)
     mask = _rand(seed + 3, (3, 5), -2.0, 0.0)
+    k1 = Tensor(_rand(seed + 4, (2, 5, 2)), requires_grad=True)
+    v1 = Tensor(_rand(seed + 5, (2, 5, 3)), requires_grad=True)
+    x = Tensor(_rand(seed + 6, (2, 3, 3)), requires_grad=True)
+    q_map = Tensor(_rand(seed + 7, (4, 3)), requires_grad=True)
     def fn(ps):
-        return _weighted_sum(tt.attention(*ps, 0.5), seed) + \
-               _weighted_sum(tt.attention(*ps, 0.5, mask), seed + 1) + \
-               _weighted_sum(tt.attention(*ps, 0.5, heads=2), seed + 2) + \
-               _weighted_sum(tt.attention(*(p[1] for p in ps), 0.5, heads=2), seed + 3)
-    return finite_diff_check(fn, [q, k, v])
+        q, k, v, k1, v1, x, q_map = ps
+        return _weighted_sum(tt.attention(q, k, v, 0.5), seed) + \
+               _weighted_sum(tt.attention(q, k, v, 0.5, mask), seed + 1) + \
+               _weighted_sum(tt.attention(q, k, v, 0.5, heads=2), seed + 2) + \
+               _weighted_sum(tt.attention(q[1], k[1], v[1], 0.5, heads=2), seed + 3) + \
+               _weighted_sum(tt.attention(q, k1, v1, 0.5, heads=2), seed + 4) + \
+               _weighted_sum(tt.attention(x, k, v, 0.5, heads=2, q_map=q_map), seed + 5)
+    return finite_diff_check(fn, [q, k, v, k1, v1, x, q_map])
 
 
 def _check_layer_norm(seed: int):

@@ -31,9 +31,13 @@ rows sum to 1, so head h's output after ``wo`` is (P_h F̃)(wo_h Ṽ_h)ᵀ, and
     h = Z Uᵀ,   Z = [F̃, P_1 F̃, …, P_H F̃],
                 U = [proj_w | proj_b + bo, wo_1 Ṽ_1, …, wo_H Ṽ_H],
 
-with Z (T, N, (H+1)(c+1)) and U (d_lat, (H+1)(c+1)). The adjacency is then
-Z (UᵀU / √d_lat) Zᵀ, mirrored as ``tt.scaled_self_outer`` does, and the
-filter is the attention with q = Z (UᵀU / √d_lat) and scale 1. This form
+with Z (T, N, (H+1)(c+1)) and U (d_lat, (H+1)(c+1)). The P_h F̃ are one
+``tt.attention`` whose keys and values are F̃ itself, shared by every head,
+and whose ``q_map`` stacks the M_hᵀ, so the op forms each head's queries
+F̃ M_h and the tape keeps neither H copies of F̃ nor those queries. The
+adjacency is then Z (UᵀU / √d_lat) Zᵀ, mirrored as ``tt.scaled_self_outer``
+does, and the filter is the attention with q = Z (UᵀU / √d_lat), formed
+inside the op from its ``q_map`` UᵀU / √d_lat, and scale 1. This form
 is used where it is narrower: iff (H+1)(c+1) < d_lat (``_factored``), which
 also makes c+1 < dh. The paper width factors (45 < 128) and runs no
 (T, N, d_lat) tensor; the desk width (25 >= 16) does not, and keeps the
@@ -161,15 +165,16 @@ class DynGraphSequence:
 
         ``row_normalized`` is softmax(A) x per step, with A = q Zᵀ·scale: one
         attention with k = Z and v = x, which forms no adjacency. Unfactored,
-        q = Z and scale = 1/√d; factored, q = Z·gram and scale = 1. Other
-        modes read the adjacency.
+        q = Z and scale = 1/√d; factored, q = Z·gram and scale = 1, with the
+        gram as the attention's ``q_map``, so Z·gram is formed inside the op
+        and not kept. Other modes read the adjacency.
         """
         x, z, gram = self.signal, self.nodes, self.gram
         if self.mode != "row_normalized":
             return tt.bmv(_filter_weights(self.adjacency, self.mode), x)
         T, N = x.shape
-        q, scale = (z, 1.0 / math.sqrt(z.shape[-1])) if gram is None else (tt.linear(z, gram), 1.0)
-        return tt.attention(q, z, x.reshape((T, N, 1)), scale).reshape((T, N))
+        scale = 1.0 / math.sqrt(z.shape[-1]) if gram is None else 1.0
+        return tt.attention(z, z, x.reshape((T, N, 1)), scale, q_map=gram).reshape((T, N))
 
 
 def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
@@ -232,13 +237,11 @@ def _node_factors(x: Tensor, params: NodeEncoderParams) -> tuple[Tensor, Tensor]
     dh = d // heads
     # Q̃, K̃, Ṽ on F̃, one (dh, c+1) block per head
     q, k, v = (_affine(w, b).reshape((heads, dh, c + 1)) for w, b in _folded(params))
-    # row block h of m is √dh·M_hᵀ = K̃_hᵀ Q̃_h, so linear(F̃, m) is
-    # √dh·[F̃ M_1 | … | F̃ M_H]; against k = v = H copies of F̃, head h's
-    # output is P_h F̃
+    # row block h of m is √dh·M_hᵀ = K̃_hᵀ Q̃_h, so the queries F̃ mᵀ/√dh are
+    # [F̃ M_1 | … | F̃ M_H]; every head's keys and values are F̃ itself, so
+    # head h's output is P_h F̃
     m = tt.bmm(k.transpose((0, 2, 1)), q).reshape((heads * (c + 1), c + 1))
-    f_heads = tt.concat([f1] * heads, axis=-1)
-    mixed = tt.attention(tt.linear(f1, m * (1.0 / math.sqrt(dh))), f_heads, f_heads,
-                         1.0, heads=heads)
+    mixed = tt.attention(f1, f1, f1, 1.0, heads=heads, q_map=m * (1.0 / math.sqrt(dh)))
     # wo_h Ṽ_h, side by side: (d, H(c+1))
     wo_v = tt.bmm(p["wo"].reshape((d, heads, dh)).transpose((1, 0, 2)), v)
     u = tt.concat([_affine(params.proj_w, params.proj_b + p["bo"]),

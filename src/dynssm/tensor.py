@@ -571,6 +571,11 @@ def bmv(a: Tensor, x: Tensor) -> Tensor:
     return out
 
 
+def _mapped(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x wᵀ`` on the last axis, with the leading axes flattened into one GEMM."""
+    return (x.reshape(-1, w.shape[1]) @ w.T).reshape(x.shape[:-1] + w.shape[:1])
+
+
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Affine map on the last axis: x[..., d_in] @ w[d_out, d_in].T + b.
 
@@ -580,7 +585,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
     d_out, d_in = w.shape
-    val = (x.data.reshape(-1, d_in) @ w.data.T).reshape(x.shape[:-1] + (d_out,))
+    val = _mapped(x.data, w.data)
     if b is not None:
         val += b.data
     out = Tensor._wrap(val)
@@ -627,7 +632,8 @@ _CHUNK = 1 << 17
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              mask: Optional[np.ndarray] = None, heads: int = 1) -> Tensor:
+              mask: Optional[np.ndarray] = None, heads: int = 1,
+              q_map: Optional[Tensor] = None) -> Tensor:
     """Multi-head scaled dot-product attention as one tape node.
 
     ``q`` is (..., m, H·d), ``k`` (..., n, H·d) and ``v`` (..., n, H·dv), with
@@ -636,6 +642,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     and the output: softmax(q kᵀ·scale + mask) v, with ``mask`` a constant
     (m, n) array. Heads are views, and every product is written through
     views, so no head-major copy of q, k, v or the output is made.
+
+    Keys and values may be shared by all heads (multi-query attention,
+    Shazeer 2019): when H > 1 and k is one head wide, (..., n, d), v is one
+    head's values, (..., n, dv), and every head reads both through a
+    stride-0 view; their gradients are summed over the heads.
+
+    With ``q_map``, an (H·d, d_q) Tensor and the node's fourth parent, the
+    queries are q·q_mapᵀ for a (..., m, d_q) ``q``: the op forms them
+    itself and drops them before it returns, and the vjp forms them again
+    with one GEMM (recomputation, Chen et al. 2016).
 
     The scores are stored key-outer, as E of shape (n, ..., H, m): E[j] is
     key j's slab, written by ``k qᵀ`` through a view. The row max and row sum
@@ -651,21 +667,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     and the row sum runs over dv, not over n.
     """
     lead = q.shape[:-2]
-    if (min(q.ndim, k.ndim, v.ndim) < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
-            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
-            or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads):
+    if q_map is not None and (q_map.ndim != 2 or q.shape[-1:] != q_map.shape[1:]):
+        raise ShapeError(f"attention: q_map {q_map.shape} must be (H·d, d_q) for q {q.shape}")
+    width = q.shape[-1] if q_map is None else q_map.shape[0]   # H·d
+    shared = heads > 1 and k.shape[-1:] == (width // heads,)
+    if (heads < 1 or width % heads or min(q.ndim, k.ndim, v.ndim) < 2
+            or k.shape[:-2] != lead or v.shape[:-2] != lead or k.shape[-2] != v.shape[-2]
+            or k.shape[-1] not in (width, width // heads) or (not shared and v.shape[-1] % heads)):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} must be "
-                         f"(...,m,H·d), (...,n,H·d) and (...,n,H·dv) with H={heads}")
+                         f"(...,m,H·d), (...,n,H·d or d) and (...,n,H·dv or dv) with H={heads}")
     m, n = q.shape[-2], k.shape[-2]
     if mask is not None and mask.shape != (m, n):
         raise ShapeError(f"attention: mask {mask.shape} does not match scores {(m, n)}")
-    o = np.empty(q.shape[:-1] + v.shape[-1:])
-    # with no leading axis, work on a leading axis of one
-    qh, kh, vh, oh = (_heads(a if lead else a[None], heads) for a in (q.data, k.data, v.data, o))
+    parents = (q, k, v) if q_map is None else (q, k, v, q_map)
+
+    def queries() -> np.ndarray:
+        qd = q.data if q_map is None else _mapped(q.data, q_map.data)
+        return _heads(qd if lead else qd[None], heads)
+
+    o = np.empty(q.shape[:-1] + (v.shape[-1] * (heads if shared else 1),))
+    # with no leading axis, work on a leading axis of one; shared k and v
+    # are one head that the stacked products broadcast over all H
+    qh, oh = queries(), _heads(o if lead else o[None], heads)
+    kh, vh = (_heads(a if lead else a[None], 1 if shared else heads) for a in (k.data, v.data))
     steps, slab = qh.shape[0], qh.shape[1:-1]   # slab: (..., H, m) per step
     per_step = n * math.prod(slab)
     chunk = max(1, min(steps, _CHUNK // per_step))
-    tape = _recording(q, k, v)
+    tape = _recording(*parents)
     kept = steps if tape is not None else chunk   # untaped, one chunk's buffers are reused
     e = np.empty((n, kept) + slab)
     norm = np.empty((kept,) + slab)
@@ -698,12 +726,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             np.matmul(a, b, out=_heads(res if lead else res[None], heads))
             return res
 
+        def summed(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+            # a @ b per head, summed over the heads: a shared k's or v's gradient
+            return np.add.reduce(np.matmul(a, b), axis=-3).reshape(shape)
+
+        kv_grad = summed if shared else merged
+        map_grad = q_map is not None and q_map.requires_grad
+
         def vjp(g):
-            gq = gk = gv = None
+            gq = gk = gv = gm = None
             gl = _heads(g if lead else g[None], heads) / norm[..., None]
             if v.requires_grad:
-                gv = merged(ek, gl, v.shape)
-            if q.requires_grad or k.requires_grad:
+                gv = kv_grad(ek, gl, v.shape)
+            if q.requires_grad or k.requires_grad or map_grad:
                 ds = np.empty_like(e)
                 dsk = np.moveaxis(ds, 0, -2)   # (..., H, n, m)
                 # Gᵀ contiguous, as qᵀ in the forward; dSᵀ below stays a
@@ -712,12 +747,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                 ds -= np.add.reduce(gl * oh, axis=-1)
                 ds *= e
                 ds *= scale
-                if q.requires_grad:
-                    gq = merged(np.swapaxes(dsk, -1, -2), kh, q.shape)
                 if k.requires_grad:
-                    gk = merged(dsk, qh, k.shape)
-            return (gq, gk, gv)
-        tape._record(out, (q, k, v), vjp)
+                    gk = kv_grad(dsk, queries(), k.shape)
+                if q.requires_grad or map_grad:
+                    gq = merged(np.swapaxes(dsk, -1, -2), kh, q.shape[:-1] + (width,))
+                    if q_map is not None:   # back through the map, as ``linear``'s vjp
+                        g2 = gq.reshape(-1, width)
+                        gm = g2.T @ q.data.reshape(-1, q.shape[-1]) if map_grad else None
+                        gq = (g2 @ q_map.data).reshape(q.shape) if q.requires_grad else None
+            return (gq, gk, gv) if q_map is None else (gq, gk, gv, gm)
+        tape._record(out, parents, vjp)
     return out
 
 

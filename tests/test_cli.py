@@ -213,6 +213,15 @@ class TestExitCodes:
         assert not out.exists()
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["d_k", "conv_features", "kernel_size", "k_tokens"])
+    def test_zero_model_size_is_config_error_before_any_file(self, tmp_path, capsys, key):
+        out = tmp_path / "r"
+        assert run_cli("train", "--out", str(out), "--epochs", "1", "--quiet",
+                       "--set", f"model.{key}=0", "--set", "data.subjects_per_class=3",
+                       "--set", "data.length=24") == 1
+        assert not out.exists()
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
     def test_report_on_a_line_that_is_not_json_is_data_error(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()

@@ -1,6 +1,7 @@
 """Pipeline assembly: configuration, persistence, parameter bookkeeping."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ class TestModelConfig:
             BrainSequenceClassifier(ModelConfig(align="bogus"))
         with pytest.raises(ConfigError):
             BrainSequenceClassifier(ModelConfig(filter_mode="nope"))
+
+    @pytest.mark.parametrize("key", ["d_k", "conv_features", "kernel_size", "k_tokens"])
+    def test_model_sizes_below_one_rejected(self, key):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=key):
+                ModelConfig.desk(**{key: bad}).validate()
+        ModelConfig.desk(**{key: 1}).validate()
 
     def test_desk_profile_overrides(self):
         cfg = ModelConfig.desk()
@@ -238,7 +246,6 @@ class TestForwardModes:
     def test_long_inference_forward_peaks_low(self):
         # The desk encoder runs in time blocks, so a T=2048 forward never
         # holds full-length q, k, v and context arrays (4 MiB each) at once.
-        import tracemalloc
         model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
         x = CounterRng(6).normal((2048, 16))
         tracemalloc.start()
@@ -248,6 +255,33 @@ class TestForwardModes:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2**20, f"T=2048 forward peaks at {peak / 2**20:.1f} MiB"
+
+    def test_paper_subject_tape_is_small(self):
+        # The factored encoder's attention reads F̃ as every head's keys and
+        # values, and it and the factored filter map their queries inside
+        # the op. So the tape keeps no H-fold copy of F̃ and no mapped
+        # queries: 4.5 MiB for one subject, against 6.3 MiB with them.
+        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
+        x = CounterRng(7).normal((128, 16))
+        tracemalloc.start()
+        try:
+            with tt.Tape() as tape:
+                cross_entropy(model.forward(x, training=True, rng=CounterRng(8)), 1)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 5 * 2**20, f"a paper subject's tape holds {held / 2**20:.2f} MiB"
+        consumers = {}
+        for node in tape.nodes:
+            for slot, parent in enumerate(node.parents):
+                consumers.setdefault(id(parent), []).append((node.vjp.__qualname__, slot))
+        for node in tape.nodes:
+            name, parents = node.vjp.__qualname__, node.parents
+            assert not (name.startswith("concat.") and len(parents) > 1
+                        and all(p is parents[0] for p in parents)), "repeated-head concat"
+            assert not (name.startswith("linear.") and all(
+                c.startswith("attention.") and slot == 0
+                for c, slot in consumers.get(id(node.out), [("", 0)]))), "linear for a query"
 
     @staticmethod
     def wrapped_shapes(monkeypatch):

@@ -301,6 +301,102 @@ class TestAttention:
             tt.attention(x, x, x, 1.0, heads=3)   # 4 columns do not split into 3 heads
 
 
+def assert_same_attention(op, reference, arrays, w):
+    """``op`` and ``reference`` agree untaped and taped, on the output and every gradient."""
+    results = []
+    for fn in (op, reference):
+        untaped = fn(*map(Tensor, arrays)).data
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = fn(*ts)
+            grads = tape.backward(tt.tsum(out * Tensor(w)))
+        assert np.array_equal(untaped, out.data)
+        results.append([out.data] + [grads[t] for t in ts])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# (B, m, n, d, dv, masked, heads), with d and dv per head; B None is no batch axis
+SHARED_CASES = [
+    (128, 16, 16, 9, 9, False, 4),      # paper encoder: F̃ (c+1 = 9) shared by 4 heads
+    (3, 5, 7, 4, 6, True, 2),           # two heads, dv != d, masked
+    (None, 12, 12, 8, 8, False, 4),     # no batch axis
+    (2050, 16, 16, 4, 4, False, 4),     # 128 steps a chunk: 16 chunks, then 2 steps
+]
+
+
+class TestSharedKeysAndMappedQueries:
+    @staticmethod
+    def arrays(B, m, n, d, dv, heads, shared, d_q=None):
+        """q (or the unmapped q and its map), k, v and the output weights of one case."""
+        rng = np.random.default_rng(n + d)
+        lead = () if B is None else (B,)
+        kv = 1 if shared else heads
+        shapes = [lead + (m, heads * d if d_q is None else d_q),
+                  lead + (n, kv * d), lead + (n, kv * dv)]
+        if d_q is not None:
+            shapes.append((heads * d, d_q))
+        return ([rng.normal(size=shape) for shape in shapes],
+                rng.normal(size=lead + (m, heads * dv)))
+
+    @pytest.mark.parametrize("B,m,n,d,dv,masked,heads", SHARED_CASES,
+                             ids=[_case_id(c) for c in SHARED_CASES])
+    def test_shared_keys_and_values_are_the_repeated_ones(self, B, m, n, d, dv, masked, heads):
+        _, mask = attention_case(B, m, n, d, dv, masked, heads)
+        arrays, w = self.arrays(B, m, n, d, dv, heads, shared=True)
+
+        def shared(q, k, v):
+            return tt.attention(q, k, v, 0.5, mask, heads=heads)
+
+        def repeated(q, k, v):
+            return tt.attention(q, tt.concat([k] * heads, axis=-1),
+                                tt.concat([v] * heads, axis=-1), 0.5, mask, heads=heads)
+        assert_same_attention(shared, repeated, arrays, w)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-kv", "shared-kv"])
+    @pytest.mark.parametrize("B,m,n,d,dv,masked,heads", SHARED_CASES,
+                             ids=[_case_id(c) for c in SHARED_CASES])
+    def test_mapped_queries_are_the_linear_ones(self, B, m, n, d, dv, masked, heads, shared):
+        _, mask = attention_case(B, m, n, d, dv, masked, heads)
+        arrays, w = self.arrays(B, m, n, d, dv, heads, shared, d_q=d + 3)
+
+        def mapped(q, k, v, q_map):
+            return tt.attention(q, k, v, 0.5, mask, heads=heads, q_map=q_map)
+
+        def linear(q, k, v, q_map):
+            return tt.attention(tt.linear(q, q_map), k, v, 0.5, mask, heads=heads)
+        assert_same_attention(mapped, linear, arrays, w)
+
+    def test_mapped_queries_are_not_kept(self):
+        # A linear node keeps q·q_mapᵀ on the tape; the op drops it.
+        rng = np.random.default_rng(2)
+        arrays = [rng.normal(size=(64, 16, 9)) for _ in range(3)] + [rng.normal(size=(36, 9))]
+
+        def held(fn):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            tracemalloc.start()
+            try:
+                with Tape():
+                    fn(*ts)
+                    return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        mapped = held(lambda q, k, v, m: tt.attention(q, k, v, 1.0, heads=4, q_map=m))
+        linear = held(lambda q, k, v, m: tt.attention(tt.linear(q, m), k, v, 1.0, heads=4))
+        assert linear - mapped >= 64 * 16 * 36 * 8
+
+    def test_shapes_checked(self):
+        q = Tensor(np.zeros((2, 3, 8)))
+        kv = Tensor(np.zeros((2, 5, 3)))
+        with pytest.raises(ShapeError, match="H=4"):
+            tt.attention(q, kv, kv, 1.0, heads=4)   # k neither 8 (H·d) nor 2 (d) wide
+        with pytest.raises(ShapeError, match="q_map"):
+            tt.attention(q, q, q, 1.0, q_map=Tensor(np.zeros((8, 5))))   # q is 8 wide, not 5
+        with pytest.raises(ShapeError, match="q_map"):
+            tt.attention(q, q, q, 1.0, q_map=Tensor(np.zeros(8)))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
