@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, LengthError, ShapeError
+from .errors import ConfigError, ContractError, LengthError, ShapeError
 from .rng import CounterRng
 from .tensor import Tensor
 
@@ -123,25 +123,56 @@ class LoraAdapter:
 def lora_linear(x: Tensor, w: Tensor, adapter: Optional[LoraAdapter],
                 bias: Optional[Tensor] = None, training: bool = False,
                 rng: Optional[CounterRng] = None) -> Tensor:
-    """Frozen affine map plus a low-rank trainable correction.
+    """Frozen affine map plus a low-rank trainable correction, as one tape node.
 
-    y = W x + (alpha/r) * B (A drop(x)); dropout applies only to the adapter
-    input path and only when training.
+    y = x Wᵀ + b + s·((x ⊙ mask) Aᵀ) Bᵀ, with s = alpha/r (Hu et al. 2021).
+    Dropout applies only to the adapter's input, and only when training: the
+    mask is ``rng.bernoulli_mask`` of x's shape. W and b are frozen, so the
+    node's parents are x, A and B; it keeps the mask and x Aᵀ. With G the
+    output's gradient, the vjp returns g_x = G W + s·((G B) A) ⊙ mask,
+    g_A = (s·G B)ᵀ (x ⊙ mask) and g_B = (s·G)ᵀ (x ⊙ mask) Aᵀ.
     """
-    base = tt.linear(x, w, bias)
     if adapter is None:
-        return base
-    if x.shape[-1] != adapter.a.shape[1]:
-        raise ShapeError(f"lora_linear: input {x.shape} does not match adapter "
-                         f"A {adapter.a.shape}")
-    xin = x
+        return tt.linear(x, w, bias)
+    a, b, s = adapter.a, adapter.b, adapter.scaling
+    if x.shape[-1] != a.shape[1]:
+        raise ShapeError(f"lora_linear: input {x.shape} does not match adapter A {a.shape}")
+    if w.requires_grad or (bias is not None and bias.requires_grad):
+        raise ContractError("lora_linear: the adapted weight and bias must be frozen")
+    mask = None
     if training and adapter.dropout_p > 0.0:
         if rng is None:
             raise ConfigError("training-mode dropout needs an rng")
         mask = rng.bernoulli_mask(x.shape, 1.0 - adapter.dropout_p)
-        xin = tt.mul(x, Tensor._wrap(mask))
-    low = tt.linear(tt.linear(xin, adapter.a), adapter.b)
-    return base + low * adapter.scaling
+    xd = x.data
+    val = tt._mapped(xd, w.data)
+    if bias is not None:
+        val += bias.data
+    xa = tt._mapped(xd if mask is None else xd * mask, a.data)
+    low = tt._mapped(xa, b.data)
+    low *= s
+    val += low
+    out = Tensor._wrap(val)
+    tape = tt._recording(x, a, b)
+    if tape is not None:
+        wd, d_in, d_out, r = w.data, xd.shape[-1], val.shape[-1], a.shape[0]
+
+        def vjp(g):
+            gs = (g * s).reshape(-1, d_out)
+            gh = gs @ b.data   # the gradient at x Aᵀ
+            xin = (xd if mask is None else xd * mask).reshape(-1, d_in)
+            ga = gh.T @ xin if a.requires_grad else None
+            gb = gs.T @ xa.reshape(-1, r) if b.requires_grad else None
+            gx = None
+            if x.requires_grad:
+                gx = gh @ a.data
+                if mask is not None:
+                    gx *= mask.reshape(-1, d_in)
+                gx += g.reshape(-1, d_out) @ wd
+                gx = gx.reshape(xd.shape)
+            return gx, ga, gb
+        tape._record(out, (x, a, b), vjp)
+    return out
 
 
 @dataclass

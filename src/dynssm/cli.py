@@ -301,6 +301,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolve(args)
     from .config import build_model_config, build_train_config
+    from .model import variant_config
     from .training import ablation_summary_csv, run_variant, write_jsonl
 
     train_cfg = build_train_config(cfg)
@@ -311,11 +312,14 @@ def cmd_ablate(args) -> int:
         _, _, split = _synth_split(cfg)
     base_model_cfg = build_model_config(cfg, split.train[0].n_rois)
     base_model_cfg.validate()
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    for variant in variants:   # a variant can change the backbone or the alignment
+        variant_config(base_model_cfg, variant).validate()
     out_dir = _run_dir(args, cfg)
     _write_resolved(cfg, out_dir)
 
     rows = []
-    for variant in [v.strip() for v in args.variants.split(",") if v.strip()]:
+    for variant in variants:
         result = run_variant(variant, split, train_cfg, base_model_cfg)
         write_jsonl(out_dir / f"logs-{variant.replace(':', '_')}.jsonl", result.log)
         rows.append({"variant": variant, **result.metrics.as_dict()})

@@ -22,6 +22,16 @@ from .errors import ConfigError
 BACKBONES = ("mamba", "s4", "gru", "tcn", "transformer")
 ALIGN_MODES = ("tokens", "meanpool", "random", "none")
 FILTER_MODES = ("raw", "row_normalized")
+TRANSFORMER_HEADS = 4   # the ``backbone:transformer`` ablation's attention heads
+
+# ModelConfig fields that count something, so each must be an integer >= 1
+_SIZES = ("kernel_size", "conv_features", "d_lat", "encoder_heads", "d_h", "ssm_blocks",
+          "k_tokens", "d_k", "surrogate_blocks", "surrogate_heads", "vocab", "prompt_len",
+          "context_cap", "lora_rank")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -56,17 +66,43 @@ class ModelConfig:
     param_seed: int = 7
 
     def validate(self) -> None:
+        """Every constraint that the configuration alone decides.
+
+        The CLI runs this before it makes the run directory, so a bad size
+        fails with a named ``ConfigError`` and leaves no file behind.
+        """
         if self.backbone not in BACKBONES:
             raise ConfigError(f"unknown backbone {self.backbone!r}; options: {BACKBONES}")
         if self.align not in ALIGN_MODES:
             raise ConfigError(f"unknown align mode {self.align!r}; options: {ALIGN_MODES}")
         if self.filter_mode not in FILTER_MODES:
             raise ConfigError(f"unknown filter mode {self.filter_mode!r}; options: {FILTER_MODES}")
-        if self.prompt_len < 1 or self.prompt_len >= self.vocab:
+        for name in _SIZES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.prompt_len >= self.vocab:
             raise ConfigError("prompt_len must be in [1, vocab)")
-        for name in ("kernel_size", "conv_features", "k_tokens", "d_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
+        for width, heads in (("d_lat", "encoder_heads"), ("d_k", "surrogate_heads")):
+            if getattr(self, width) % getattr(self, heads):
+                raise ConfigError(f"{width}={getattr(self, width)} must be divisible by "
+                                  f"{heads}={getattr(self, heads)}")
+        if self.backbone == "transformer" and self.d_h % TRANSFORMER_HEADS:
+            raise ConfigError(f"d_h={self.d_h} must be divisible by the transformer "
+                              f"backbone's {TRANSFORMER_HEADS} heads")
+        if self.lora_rank > self.d_k:
+            raise ConfigError(f"lora_rank={self.lora_rank} must be <= d_k={self.d_k}")
+        if not (_is_number(self.lora_dropout) and 0 <= self.lora_dropout < 1):
+            raise ConfigError(f"lora_dropout must be in [0, 1), got {self.lora_dropout!r}")
+        if not (_is_number(self.lora_alpha) and math.isfinite(self.lora_alpha)):
+            raise ConfigError(f"lora_alpha must be a finite number, got {self.lora_alpha!r}")
+        if self.context_cap < self.k_tokens + self.prompt_len:
+            raise ConfigError(f"context_cap={self.context_cap} must be >= k_tokens + "
+                              f"prompt_len = {self.k_tokens + self.prompt_len}")
 
     @classmethod
     def desk(cls, n_rois: int = 16, **overrides) -> "ModelConfig":

@@ -186,12 +186,16 @@ def _check_cross_entropy(seed: int):
 
 def _check_lora(seed: int):
     rng = CounterRng(seed)
-    ad = al.LoraAdapter.create(rng, d_in=5, d_out=4, rank=2, alpha=4.0)
+    ad = al.LoraAdapter.create(rng, d_in=5, d_out=4, rank=2, alpha=4.0, dropout_p=0.3)
     ad.b.data = rng.normal((4, 2))   # move off the zero init so B has signal
     w = Tensor(rng.normal((4, 5)))
     x = Tensor(rng.normal((3, 5)), requires_grad=True)
     def fn(ps):
-        return _weighted_sum(al.lora_linear(ps[0], w, ad), seed)
+        # the dropout term draws its mask from a fresh generator, so every
+        # evaluation drops the same entries
+        dropped = al.lora_linear(ps[0], w, ad, training=True, rng=CounterRng(seed).child(0xD0))
+        return (_weighted_sum(al.lora_linear(ps[0], w, ad), seed)
+                + _weighted_sum(dropped, seed + 1))
     return finite_diff_check(fn, [x, ad.a, ad.b])
 
 

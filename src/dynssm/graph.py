@@ -43,6 +43,16 @@ also makes c+1 < dh. The paper width factors (45 < 128) and runs no
 (T, N, d_lat) tensor; the desk width (25 >= 16) does not, and keeps the
 folded form above, which is faster there.
 
+At the factored width, M/√dh, U and the filter's UᵀU/√d_lat depend on
+parameters only: 33 tape nodes, of a training subject's 81. They are formed
+once per tape (``tt.per_tape``), so every subject that one
+tape records shares them: a training batch, or any caller that runs
+``model.forward`` per subject inside one tape. Their gradients flow back
+through the shared nodes once, summed over the subjects. Parameters do not
+change while a tape records, so no subject reads stale maps; with no tape,
+each forward forms them afresh. The desk width's 8 such nodes (the folded
+maps) are left per block, as they hold ~2 kB.
+
 Unfactored, the encoder runs in blocks of B time steps (``_block_steps``),
 B = max(1, ``tt._CHUNK`` // (2·N·d_lat)), so that two of a block's
 (B, N, d_lat) arrays fill one attention chunk, about an L2: 256 steps at
@@ -147,9 +157,14 @@ class DynGraphSequence:
 
     @cached_property
     def gram(self) -> Optional[Tensor]:
-        """``UᵀU / √d_lat`` when the encoder ran factored, else ``None``."""
+        """``UᵀU / √d_lat`` when the encoder ran factored, else ``None``.
+
+        It depends on parameters only, so it is formed once per tape, as U is.
+        """
         u = self.basis
-        return None if u is None else tt.matmul(u.T, u) * (1.0 / math.sqrt(u.shape[0]))
+        if u is None:
+            return None
+        return tt.per_tape(u, lambda: tt.matmul(u.T, u) * (1.0 / math.sqrt(u.shape[0])))
 
     @cached_property
     def adjacency(self) -> Tensor:
@@ -222,30 +237,40 @@ def _roi_attention(feats: Tensor, params: NodeEncoderParams) -> Tensor:
     return tt.linear(ctx, params.attn["wo"], params.attn["bo"])
 
 
+def _factor_maps(params: NodeEncoderParams) -> tuple[Tensor, Tensor]:
+    """``(m, U)``: the factored encoder's maps, which depend on parameters only.
+
+    Row block h of m is M_hᵀ, so the attention's queries F̃ mᵀ are
+    [F̃ M_1 | … | F̃ M_H]; U is (d_lat, (H+1)(c+1)). See the module docstring.
+    """
+    heads, d, p = params.heads, params.d_lat, params.attn
+    dh, c = d // heads, params.conv_w.shape[1]
+    # Q̃, K̃, Ṽ on F̃, one (dh, c+1) block per head
+    q, k, v = (_affine(w, b).reshape((heads, dh, c + 1)) for w, b in _folded(params))
+    # row block h of K̃ᵀQ̃ is √dh·M_hᵀ
+    m = tt.bmm(k.transpose((0, 2, 1)), q).reshape((heads * (c + 1), c + 1))
+    # wo_h Ṽ_h, side by side: (d, H(c+1))
+    wo_v = tt.bmm(p["wo"].reshape((d, heads, dh)).transpose((1, 0, 2)), v)
+    u = tt.concat([_affine(params.proj_w, params.proj_b + p["bo"]),
+                   wo_v.transpose((1, 0, 2)).reshape((d, heads * (c + 1)))], axis=1)
+    return m * (1.0 / math.sqrt(dh)), u
+
+
 def _node_factors(x: Tensor, params: NodeEncoderParams) -> tuple[Tensor, Tensor]:
     """``(Z, U)`` with embeddings ``h = Z Uᵀ``, for widths that factor.
 
     Z = [F̃, P_1 F̃, …, P_H F̃] is (T, N, (H+1)(c+1)) and U is
-    (d_lat, (H+1)(c+1)); see the module docstring.
+    (d_lat, (H+1)(c+1)); see the module docstring. The maps that depend on
+    parameters only are formed once per tape (``tt.per_tape``).
     """
     feats = conv_stage(x, params)
     T, N, c = feats.shape
     f1 = tt.concat([feats, Tensor(np.ones((T, N, 1)))], axis=-1)   # F̃
     if not params.attention_enabled:
-        return f1, _affine(params.proj_w, params.proj_b)
-    heads, d, p = params.heads, params.d_lat, params.attn
-    dh = d // heads
-    # Q̃, K̃, Ṽ on F̃, one (dh, c+1) block per head
-    q, k, v = (_affine(w, b).reshape((heads, dh, c + 1)) for w, b in _folded(params))
-    # row block h of m is √dh·M_hᵀ = K̃_hᵀ Q̃_h, so the queries F̃ mᵀ/√dh are
-    # [F̃ M_1 | … | F̃ M_H]; every head's keys and values are F̃ itself, so
-    # head h's output is P_h F̃
-    m = tt.bmm(k.transpose((0, 2, 1)), q).reshape((heads * (c + 1), c + 1))
-    mixed = tt.attention(f1, f1, f1, 1.0, heads=heads, q_map=m * (1.0 / math.sqrt(dh)))
-    # wo_h Ṽ_h, side by side: (d, H(c+1))
-    wo_v = tt.bmm(p["wo"].reshape((d, heads, dh)).transpose((1, 0, 2)), v)
-    u = tt.concat([_affine(params.proj_w, params.proj_b + p["bo"]),
-                   wo_v.transpose((1, 0, 2)).reshape((d, heads * (c + 1)))], axis=1)
+        return f1, tt.per_tape(params, lambda: _affine(params.proj_w, params.proj_b))
+    m, u = tt.per_tape(params, lambda: _factor_maps(params))
+    # every head's keys and values are F̃ itself, so head h's output is P_h F̃
+    mixed = tt.attention(f1, f1, f1, 1.0, heads=params.heads, q_map=m)
     return tt.concat([f1, mixed], axis=-1), u
 
 

@@ -19,7 +19,7 @@ from . import graph as gr
 from . import ssm as sm
 from . import tensor as tt
 from .checkpoint import load_params, save_params
-from .config import ModelConfig
+from .config import TRANSFORMER_HEADS, ModelConfig
 from .errors import ConfigError
 from .rng import CounterRng
 from .tensor import Tensor
@@ -87,10 +87,8 @@ class _TcnBackbone:
 
 
 class _TransformerBackbone:
-    def __init__(self, rng: CounterRng, d_in: int, d_h: int, heads: int = 4):
-        if d_h % heads != 0:
-            raise ConfigError(f"d_h={d_h} must be divisible by heads={heads}")
-        self.heads = heads
+    def __init__(self, rng: CounterRng, d_in: int, d_h: int):
+        self.heads = TRANSFORMER_HEADS   # ``ModelConfig.validate`` checks that they divide d_h
         self.w_in = tt.init_weight(rng, (d_h, d_in), d_in)
         self.b_in = Tensor(np.zeros(d_h), requires_grad=True)
         for nm in ("wq", "wk", "wv", "wo"):

@@ -220,6 +220,7 @@ class Tape:
         self.nodes: list[_Node] = []
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
+        self._memo: dict[int, tuple] = {}   # id(owner) -> (owner, value), see ``per_tape``
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -282,6 +283,27 @@ def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> Gradien
     if loss._tape_ref is None or loss._tape_ref() is None:
         raise ContractError("loss is not recorded on any tape")
     return loss._tape_ref().backward(loss, params)
+
+
+def per_tape(owner, build: Callable[[], object]):
+    """``build()``, formed once per active tape and ``owner``, and shared.
+
+    For values that depend on parameters only, such as derived weights: every
+    forward recorded on one tape then shares one set of their nodes, and
+    their gradients flow back through those nodes once. This is sound because
+    parameters do not change while a tape records, which every vjp already
+    assumes by capturing ``.data``. The tape holds ``owner`` with the value,
+    so the owner's id names it for the tape's lifetime; an owner has one
+    value per tape. With no tape active, it builds on every call, so an
+    untaped forward always reads the current parameters.
+    """
+    tape = active_tape()
+    if tape is None:
+        return build()
+    held = tape._memo.get(id(owner))
+    if held is None:
+        held = tape._memo[id(owner)] = (owner, build())
+    return held[1]
 
 
 def _recording(*parents: Tensor) -> Optional[Tape]:
@@ -656,15 +678,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     The scores are stored key-outer, as E of shape (n, ..., H, m): E[j] is
     key j's slab, written by ``k qᵀ`` through a view. The row max and row sum
     are then elementwise maxima and sums of n contiguous slabs. The forward
-    walks the first leading axis in chunks of about ``_CHUNK`` scores, so a
-    chunk's passes run from L2; with nothing recording, one chunk's buffers
-    are reused and the full E is never formed.
+    walks the first leading axis in chunks of about ``_CHUNK`` scores and
+    reuses one chunk's buffers, so a chunk's passes run from L2 and the full
+    E is never formed, taped or not.
 
-    When a tape records, the chunks fill the full E = exp(S - max), which the
-    vjp keeps with the row sums l and O. The backward is FlashAttention's
-    (Dao et al. 2022), in the same layout: with G = dO / l, dV = E G and
-    dS = E ⊙ (v Gᵀ - rowsum(G ⊙ O)) · scale, so no probabilities are formed
-    and the row sum runs over dv, not over n.
+    The node keeps only O and the row statistics, the max and the sum l, each
+    (steps, ..., H, m). The backward is FlashAttention's (Dao et al. 2022),
+    in the same layout. It walks the steps in chunks of about ``_CHUNK // 2``
+    scores, with two score buffers, E and dS. Per chunk it forms E again with
+    the forward's own operations and stored max, so bit for bit; then, with
+    G = dO / l, dV = E G and dS = E ⊙ (v Gᵀ - rowsum(G ⊙ O)) · scale, and
+    dK and dQ follow. No probabilities are formed, and the row sum runs over
+    dv, not over n. Each step's E depends on that step only, so the chunking
+    changes no result; the ``q_map`` gradient is one GEMM over the whole dQ.
     """
     lead = q.shape[:-2]
     if q_map is not None and (q_map.ndim != 2 or q.shape[-1:] != q_map.shape[1:]):
@@ -681,80 +707,102 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         raise ShapeError(f"attention: mask {mask.shape} does not match scores {(m, n)}")
     parents = (q, k, v) if q_map is None else (q, k, v, q_map)
 
-    def queries() -> np.ndarray:
-        qd = q.data if q_map is None else _mapped(q.data, q_map.data)
-        return _heads(qd if lead else qd[None], heads)
+    def lead1(a: np.ndarray) -> np.ndarray:
+        # with no leading axis, work on a leading axis of one
+        return a if lead else a[None]
 
-    o = np.empty(q.shape[:-1] + (v.shape[-1] * (heads if shared else 1),))
-    # with no leading axis, work on a leading axis of one; shared k and v
-    # are one head that the stacked products broadcast over all H
-    qh, oh = queries(), _heads(o if lead else o[None], heads)
-    kh, vh = (_heads(a if lead else a[None], 1 if shared else heads) for a in (k.data, v.data))
+    def queries() -> np.ndarray:
+        return _heads(lead1(q.data if q_map is None else _mapped(q.data, q_map.data)), heads)
+
+    # shared k and v are one head that the stacked products broadcast over all H
+    kh, vh = (_heads(lead1(a), 1 if shared else heads) for a in (k.data, v.data))
+    qh = queries()
     steps, slab = qh.shape[0], qh.shape[1:-1]   # slab: (..., H, m) per step
     per_step = n * math.prod(slab)
-    chunk = max(1, min(steps, _CHUNK // per_step))
-    tape = _recording(*parents)
-    kept = steps if tape is not None else chunk   # untaped, one chunk's buffers are reused
-    e = np.empty((n, kept) + slab)
-    norm = np.empty((kept,) + slab)
-    # scale·qᵀ per chunk, contiguous: numpy's stacked product runs several
-    # times slower on a transposed view, and on q = k it takes a syrk path
-    q_t = np.empty((chunk,) + qh.shape[1:-2] + (qh.shape[-1], m))
+    qt_tail = qh.shape[1:-2] + (qh.shape[-1], m)   # scale·qᵀ per step
     mask_t = None if mask is None else mask.T.reshape((n,) + (1,) * len(slab) + (m,))
-    for s0 in range(0, steps, chunk):
-        s1 = min(s0 + chunk, steps)
-        b = slice(s0, s1) if tape is not None else slice(0, s1 - s0)
-        ec, lc = e[:, b], norm[b]
-        ek = np.moveaxis(ec, 0, -2)   # (..., H, n, m)
-        qc = q_t[:s1 - s0]
+
+    def buffers(budget: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Steps per chunk for ``budget`` scores, a score buffer and a scale·qᵀ buffer.
+
+        qᵀ is made contiguous: numpy's stacked product runs several times
+        slower on a transposed view, and on q = k it takes a syrk path.
+        """
+        chunk = max(1, min(steps, budget // per_step))
+        return chunk, np.empty((n, chunk) + slab), np.empty((chunk,) + qt_tail)
+
+    def shifted_scores(qh: np.ndarray, s0: int, s1: int, e: np.ndarray, q_t: np.ndarray,
+                       fill_max: bool) -> np.ndarray:
+        """E - max for steps s0..s1 in ``e``'s first s1 - s0 columns; fills the max if asked."""
+        ec, qc = e[:, :s1 - s0], q_t[:s1 - s0]
         np.multiply(np.swapaxes(qh[s0:s1], -1, -2), scale, out=qc)
-        np.matmul(kh[s0:s1], qc, out=ek)
+        np.matmul(kh[s0:s1], qc, out=np.moveaxis(ec, 0, -2))
         if mask_t is not None:
             ec += mask_t
-        ec -= np.maximum.reduce(ec, axis=0)
+        if fill_max:
+            np.maximum.reduce(ec, axis=0, out=rmax[s0:s1])
+        ec -= rmax[s0:s1]
+        return ec
+
+    o = np.empty(q.shape[:-1] + (v.shape[-1] * (heads if shared else 1),))
+    oh = _heads(lead1(o), heads)
+    rmax, norm = np.empty((steps,) + slab), np.empty((steps,) + slab)
+    chunk, e, q_t = buffers(_CHUNK)
+    for s0 in range(0, steps, chunk):
+        s1 = min(s0 + chunk, steps)
+        ec = shifted_scores(qh, s0, s1, e, q_t, fill_max=True)
         np.exp(ec, out=ec)
-        np.add.reduce(ec, axis=0, out=lc)
-        np.matmul(np.swapaxes(ek, -1, -2), vh[s0:s1], out=oh[s0:s1])
-        oh[s0:s1] /= lc[..., None]
+        np.add.reduce(ec, axis=0, out=norm[s0:s1])
+        np.matmul(np.swapaxes(np.moveaxis(ec, 0, -2), -1, -2), vh[s0:s1], out=oh[s0:s1])
+        oh[s0:s1] /= norm[s0:s1, ..., None]
     out = Tensor._wrap(o)
+    tape = _recording(*parents)
     if tape is not None:
-        ek = np.moveaxis(e, 0, -2)
+        def merged(a: np.ndarray, b: np.ndarray, res: np.ndarray, s0: int, s1: int) -> None:
+            # a @ b per head, into the heads' columns of steps s0..s1 of (..., L, H·w)
+            np.matmul(a, b, out=_heads(lead1(res), heads)[s0:s1])
 
-        def merged(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
-            # a @ b per head, written into the heads' columns of a new (..., L, H·w)
-            res = np.empty(shape)
-            np.matmul(a, b, out=_heads(res if lead else res[None], heads))
-            return res
-
-        def summed(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+        def summed(a: np.ndarray, b: np.ndarray, res: np.ndarray, s0: int, s1: int) -> None:
             # a @ b per head, summed over the heads: a shared k's or v's gradient
-            return np.add.reduce(np.matmul(a, b), axis=-3).reshape(shape)
+            np.add.reduce(np.matmul(a, b), axis=-3, out=lead1(res)[s0:s1])
 
         kv_grad = summed if shared else merged
         map_grad = q_map is not None and q_map.requires_grad
 
         def vjp(g):
-            gq = gk = gv = gm = None
-            gl = _heads(g if lead else g[None], heads) / norm[..., None]
-            if v.requires_grad:
-                gv = kv_grad(ek, gl, v.shape)
-            if q.requires_grad or k.requires_grad or map_grad:
-                ds = np.empty_like(e)
-                dsk = np.moveaxis(ds, 0, -2)   # (..., H, n, m)
+            gh = _heads(lead1(g), heads)
+            gv = np.empty(v.shape) if v.requires_grad else None
+            gk = np.empty(k.shape) if k.requires_grad else None
+            gq = np.empty(q.shape[:-1] + (width,)) if q.requires_grad or map_grad else None
+            qh = queries()
+            chunk, e, q_t = buffers(_CHUNK // 2)
+            ds = np.empty_like(e) if gk is not None or gq is not None else None
+            for s0 in range(0, steps, chunk):
+                s1 = min(s0 + chunk, steps)
+                ec = shifted_scores(qh, s0, s1, e, q_t, fill_max=False)
+                np.exp(ec, out=ec)
+                gl = gh[s0:s1] / norm[s0:s1, ..., None]
+                if gv is not None:
+                    kv_grad(np.moveaxis(ec, 0, -2), gl, gv, s0, s1)
+                if ds is None:
+                    continue
+                dc = ds[:, :s1 - s0]
+                dsk = np.moveaxis(dc, 0, -2)   # (..., H, n, m)
                 # Gᵀ contiguous, as qᵀ in the forward; dSᵀ below stays a
                 # view, because copying it measured slower
-                np.matmul(vh, np.ascontiguousarray(np.swapaxes(gl, -1, -2)), out=dsk)
-                ds -= np.add.reduce(gl * oh, axis=-1)
-                ds *= e
-                ds *= scale
-                if k.requires_grad:
-                    gk = kv_grad(dsk, queries(), k.shape)
-                if q.requires_grad or map_grad:
-                    gq = merged(np.swapaxes(dsk, -1, -2), kh, q.shape[:-1] + (width,))
-                    if q_map is not None:   # back through the map, as ``linear``'s vjp
-                        g2 = gq.reshape(-1, width)
-                        gm = g2.T @ q.data.reshape(-1, q.shape[-1]) if map_grad else None
-                        gq = (g2 @ q_map.data).reshape(q.shape) if q.requires_grad else None
+                np.matmul(vh[s0:s1], np.ascontiguousarray(np.swapaxes(gl, -1, -2)), out=dsk)
+                dc -= np.add.reduce(gl * oh[s0:s1], axis=-1)
+                dc *= ec
+                dc *= scale
+                if gk is not None:
+                    kv_grad(dsk, qh[s0:s1], gk, s0, s1)
+                if gq is not None:
+                    merged(np.swapaxes(dsk, -1, -2), kh[s0:s1], gq, s0, s1)
+            gm = None
+            if q_map is not None and gq is not None:   # back through the map, as ``linear``'s vjp
+                g2 = gq.reshape(-1, width)
+                gm = g2.T @ q.data.reshape(-1, q.shape[-1]) if map_grad else None
+                gq = (g2 @ q_map.data).reshape(q.shape) if q.requires_grad else None
             return (gq, gk, gv) if q_map is None else (gq, gk, gv, gm)
         tape._record(out, parents, vjp)
     return out

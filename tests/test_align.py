@@ -7,7 +7,7 @@ import pytest
 
 from dynssm import align as al
 from dynssm import tensor as tt
-from dynssm.errors import ConfigError, LengthError, NumericsError, ShapeError
+from dynssm.errors import ConfigError, ContractError, LengthError, NumericsError, ShapeError
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tape, Tensor
 
@@ -128,6 +128,58 @@ class TestLoraAdapter:
         assert np.array_equal(eval_1, eval_2)
         train_out = al.lora_linear(x, w, ad, training=True, rng=CounterRng(5)).data
         assert not np.array_equal(eval_1, train_out)
+
+    @staticmethod
+    def composed(x, w, ad, mask):
+        """The six-node form: base linear, dropout mask, x·Aᵀ, ·Bᵀ, scaling, add."""
+        low = tt.linear(tt.linear(tt.mul(x, Tensor(mask)), ad.a), ad.b)
+        return tt.linear(x, w) + low * ad.scaling
+
+    def test_one_node_matches_the_composed_form(self):
+        rng = CounterRng(7)
+        ad = al.LoraAdapter.create(rng, d_in=6, d_out=5, rank=2, alpha=4.0, dropout_p=0.3)
+        ad.b.data = rng.normal((5, 2))
+        w = Tensor(rng.normal((5, 6)))
+        x = Tensor(rng.normal((2, 4, 6)), requires_grad=True)
+        weights = Tensor(rng.normal((2, 4, 5)))
+        results = []
+        for one_node in (True, False):
+            with Tape() as tape:
+                if one_node:
+                    out = al.lora_linear(x, w, ad, training=True, rng=CounterRng(11))
+                else:
+                    mask = CounterRng(11).bernoulli_mask(x.shape, 1.0 - ad.dropout_p)
+                    out = self.composed(x, w, ad, mask)
+                grads = tape.backward(tt.tsum(out * weights))
+            results.append((out.data, [grads[t] for t in (x, ad.a, ad.b)]))
+            if one_node:
+                assert len(tape.nodes) == 3   # lora_linear, the product and the sum
+        (out, grads), (ref, ref_grads) = results
+        assert np.array_equal(out, ref)
+        for name, g, want in zip(("x", "A", "B"), grads, ref_grads):
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_zero_b_is_neutral_on_the_tape(self):
+        # A fresh adapter leaves the output and x's gradient those of the
+        # frozen map, with dropout on; A gets no gradient while B is zero.
+        rng = CounterRng(8)
+        ad = al.LoraAdapter.create(rng, d_in=6, d_out=5, rank=3, alpha=6.0, dropout_p=0.5)
+        w = Tensor(rng.normal((5, 6)))
+        x = Tensor(rng.normal((4, 6)), requires_grad=True)
+        with Tape() as tape:
+            base = tt.linear(x, w)
+            g_base = tape.backward(tt.tsum(base * base))[x]
+        with Tape() as tape:
+            out = al.lora_linear(x, w, ad, training=True, rng=CounterRng(9))
+            grads = tape.backward(tt.tsum(out * out), params=[x, ad.a, ad.b])
+        assert np.array_equal(out.data, base.data)
+        assert np.array_equal(grads[x], g_base)
+        assert not np.any(grads[ad.a]) and np.any(grads[ad.b])
+
+    def test_frozen_weight_required(self):
+        ad = al.LoraAdapter.create(CounterRng(6), d_in=4, d_out=4, rank=2, alpha=4.0)
+        with pytest.raises(ContractError, match="frozen"):
+            al.lora_linear(Tensor(np.ones((2, 4))), Tensor(np.eye(4), requires_grad=True), ad)
 
     def test_training_dropout_requires_rng(self):
         ad = al.LoraAdapter.create(CounterRng(6), d_in=4, d_out=4, rank=2,

@@ -222,6 +222,31 @@ class TestExitCodes:
         assert not out.exists()
         assert f"{key} must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ["model.surrogate_heads=0"], ["model.surrogate_blocks=0"], ["model.lora_rank=0"],
+        ["model.d_h=0"], ["model.d_lat=0"], ["model.encoder_heads=0"], ["model.ssm_blocks=0"],
+        ["model.context_cap=4"], ["model.d_lat=30"], ["model.d_k=30"],
+        ["model.backbone=transformer", "model.d_h=30"], ["model.lora_rank=65"],
+        ["model.lora_dropout=1"], ["model.kernel_size=2"], ["model.d_k=2.5"],
+    ], ids=lambda overrides: ",".join(o.split(".", 1)[1] for o in overrides))
+    def test_bad_model_size_is_config_error_before_any_file(self, tmp_path, capsys, overrides):
+        out = tmp_path / "r"
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert run_cli("train", "--out", str(out), "--epochs", "1", "--quiet", *sets,
+                       "--set", "data.subjects_per_class=3", "--set", "data.length=24") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dynssm: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_variant_model_is_config_error_before_any_file(self, tmp_path, capsys):
+        # the base model is fine; its transformer variant cannot split d_h into 4 heads
+        out = tmp_path / "abl"
+        assert run_cli("ablate", "--out", str(out), "--variants", "full,backbone:transformer",
+                       "--epochs", "1", "--quiet", "--set", "model.d_h=30",
+                       "--set", "data.subjects_per_class=3", "--set", "data.length=24") == 1
+        assert "transformer backbone's 4 heads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_on_a_line_that_is_not_json_is_data_error(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()

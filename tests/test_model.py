@@ -1,5 +1,6 @@
 """Pipeline assembly: configuration, persistence, parameter bookkeeping."""
 
+import re
 import struct
 import tracemalloc
 
@@ -29,7 +30,37 @@ class TestModelConfig:
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=key):
                 ModelConfig.desk(**{key: bad}).validate()
-        ModelConfig.desk(**{key: 1}).validate()
+        # d_k = 1 takes one surrogate head and a rank-1 adapter
+        with_one = {"d_k": {"surrogate_heads": 1, "lora_rank": 1}}.get(key, {})
+        ModelConfig.desk(**{key: 1}, **with_one).validate()
+
+    @pytest.mark.parametrize("key", ["d_lat", "encoder_heads", "d_h", "ssm_blocks",
+                                     "surrogate_blocks", "surrogate_heads", "vocab",
+                                     "prompt_len", "context_cap", "lora_rank"])
+    def test_every_other_size_below_one_rejected(self, key):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+                ModelConfig.desk(**{key: bad}).validate()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"d_lat": 30}, "d_lat=30 must be divisible by encoder_heads=4"),
+        ({"d_k": 30}, "d_k=30 must be divisible by surrogate_heads=4"),
+        ({"backbone": "transformer", "d_h": 30}, "transformer backbone's 4 heads"),
+        ({"lora_rank": 65}, "lora_rank=65 must be <= d_k=64"),
+        ({"lora_dropout": 1.0}, "lora_dropout must be in"),
+        ({"lora_dropout": -0.1}, "lora_dropout must be in"),
+        ({"lora_alpha": float("nan")}, "lora_alpha must be a finite number"),
+        ({"context_cap": 15}, "context_cap=15 must be >= k_tokens"),
+        ({"kernel_size": 4}, "kernel_size must be odd"),
+        ({"d_k": 2.5}, "d_k must be an integer"),
+        ({"ssm_blocks": True}, "ssm_blocks must be an integer"),
+    ], ids=["d_lat-heads", "d_k-heads", "transformer-d_h", "rank-above-d_k", "dropout-one",
+            "dropout-negative", "alpha-nan", "context-cap", "even-kernel", "float-size",
+            "bool-size"])
+    def test_config_only_constraints_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ModelConfig.desk(**overrides).validate()
+        ModelConfig.desk(backbone="transformer", context_cap=16).validate()   # the edges pass
 
     def test_desk_profile_overrides(self):
         cfg = ModelConfig.desk()
@@ -282,6 +313,57 @@ class TestForwardModes:
             assert not (name.startswith("linear.") and all(
                 c.startswith("attention.") and slot == 0
                 for c, slot in consumers.get(id(node.out), [("", 0)]))), "linear for a query"
+
+    def test_paper_batch_shares_the_parameter_only_maps(self):
+        # M/√dh, U and UᵀU/√d_lat (33 nodes) are formed once per tape, and
+        # each LoRA projection is one node: 81 nodes for the first subject's
+        # forward + loss and 48 for each further one, 417 for 8 (808 when
+        # every subject formed its own maps from six-node projections).
+        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
+        xs = [CounterRng(20 + i).normal((128, 16)) for i in range(8)]
+        rng = CounterRng(8)
+        tracemalloc.start()
+        try:
+            with tt.Tape() as tape:
+                for i, x in enumerate(xs):
+                    cross_entropy(model.forward(x, training=True, rng=rng), i % 2)
+                    if i == 0:
+                        assert len(tape.nodes) == 81
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 417
+        assert held <= 24 * 2**20, f"an 8-subject paper tape holds {held / 2**20:.2f} MiB"
+
+    def test_untaped_forward_reads_changed_weights(self):
+        # The maps are shared within a tape only: a forward after a weight
+        # changes gives the logits of a model built with that weight.
+        model = BrainSequenceClassifier(ModelConfig(n_rois=16))
+        x = CounterRng(9).normal((64, 16))
+        with tt.Tape():
+            model.forward(x, training=True, rng=CounterRng(1))
+        before = model.forward(x).data
+        wq = CounterRng(10).normal(model.encoder.attn["wq"].shape, std=0.2)
+        model.encoder.attn["wq"].data = wq
+        rebuilt = BrainSequenceClassifier(ModelConfig(n_rois=16))
+        rebuilt.encoder.attn["wq"].data = wq.copy()
+        after = model.forward(x).data
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, rebuilt.forward(x).data)
+        with tt.Tape():
+            taped = model.forward(x).data
+        assert np.array_equal(taped, after)
+
+    def test_desk_training_forward_records_one_node_per_lora_projection(self):
+        # Four adapted projections, one node each, where each recorded six.
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        assert model.cfg.lora_dropout > 0
+        with tt.Tape() as tape:
+            cross_entropy(model.forward(CounterRng(7).normal((128, 16)), training=True,
+                                        rng=CounterRng(8)), 1)
+        assert len(tape.nodes) == 60
+        lora = [node for node in tape.nodes if node.vjp.__qualname__.startswith("lora_linear.")]
+        assert len(lora) == 4 and all(len(node.parents) == 3 for node in lora)
 
     @staticmethod
     def wrapped_shapes(monkeypatch):

@@ -1,9 +1,11 @@
 """Core tensor / autodiff engine tests."""
 
 import ctypes
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -395,6 +397,91 @@ class TestSharedKeysAndMappedQueries:
             tt.attention(q, q, q, 1.0, q_map=Tensor(np.zeros((8, 5))))   # q is 8 wide, not 5
         with pytest.raises(ShapeError, match="q_map"):
             tt.attention(q, q, q, 1.0, q_map=Tensor(np.zeros(8)))
+
+
+# (B, m, n, d, dv, masked, heads, shared, d_q): 12 steps, so a small ``_CHUNK``
+# leaves several chunks in both passes, the last one ragged
+SMALL_CHUNK_CASES = [
+    (12, 5, 7, 4, 6, True, 2, False, None),    # own k and v, masked
+    (12, 16, 16, 9, 9, False, 4, True, None),  # shared k and v
+    (12, 5, 7, 4, 6, True, 2, False, 7),       # mapped queries, own k and v
+    (12, 16, 16, 9, 9, False, 4, True, 9),     # the paper encoder's form
+]
+
+
+class TestRowStatistics:
+    """The node keeps O and the row statistics; its vjp forms E again per chunk."""
+
+    @staticmethod
+    def out_and_grads(B, m, n, d, dv, masked, heads, shared, d_q):
+        _, mask = attention_case(B, m, n, d, dv, masked, heads)
+        arrays, w = TestSharedKeysAndMappedQueries.arrays(B, m, n, d, dv, heads, shared, d_q)
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = tt.attention(*ts[:3], 0.5, mask, heads=heads, q_map=ts[3] if d_q else None)
+            grads = tape.backward(tt.tsum(out * Tensor(w)))
+        return [out.data] + [grads[t] for t in ts]
+
+    @pytest.mark.parametrize("case", SMALL_CHUNK_CASES,
+                             ids=["own-kv", "shared-kv", "mapped", "mapped-shared-kv"])
+    def test_small_chunks_change_no_bit(self, monkeypatch, case):
+        B, m, n, d, dv, masked, heads, shared, d_q = case
+        default = self.out_and_grads(*case)
+        assert tt._CHUNK >= B * heads * m * n   # one chunk each way at the default
+        # five steps a forward chunk (5, 5, 2) and two a backward chunk (2 × 6)
+        monkeypatch.setattr(tt, "_CHUNK", 5 * heads * m * n)
+        for got, want in zip(self.out_and_grads(*case), default):
+            assert np.array_equal(got, want)
+
+    def test_taped_call_keeps_no_score_sized_array(self):
+        # ROI attention at T=128: (16 keys, 128 steps, 4 heads, 16 queries)
+        # scores, 1 MiB. The node keeps O (0.25 MiB) and the row max and sum.
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(128, 16, 16)), requires_grad=True) for _ in range(3))
+        scores_bytes = 16 * 128 * 4 * 16 * 8
+        tracemalloc.start()
+        try:
+            with Tape():
+                tt.attention(q, k, v, 0.5, heads=4)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < scores_bytes // 2, f"a taped attention holds {held / 2**20:.2f} MiB"
+
+
+class TestPerTape:
+    def test_builds_once_per_tape_and_owner(self):
+        built = []
+        owner, other = object(), object()
+
+        def build(tag):
+            built.append(tag)
+            return Tensor(np.full(2, float(len(built))), requires_grad=True)
+        with Tape():
+            first = tt.per_tape(owner, lambda: build("a"))
+            assert tt.per_tape(owner, lambda: build("b")) is first
+            assert tt.per_tape(other, lambda: build("c")) is not first
+        with Tape():
+            assert tt.per_tape(owner, lambda: build("d")) is not first
+        assert built == ["a", "c", "d"]
+
+    def test_untaped_builds_every_call(self):
+        owner, built = object(), []
+        for _ in range(3):
+            tt.per_tape(owner, lambda: built.append(1))
+        assert len(built) == 3
+
+    def test_tape_keeps_the_owner_alive(self):
+        # the owner's id names its value, so no other object may take that id
+        class Owner:
+            pass
+        owner = Owner()
+        ref = weakref.ref(owner)
+        with Tape():
+            tt.per_tape(owner, lambda: 1.0)
+            del owner
+            gc.collect()
+            assert ref() is not None
 
 
 class TestBackward:
