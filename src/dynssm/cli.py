@@ -131,8 +131,13 @@ def _pin_threads(argv: list[str]) -> None:
 
 def _resolve(args) -> dict:
     seed = args.seed
-    if seed is None and os.environ.get("DYNS_SEED"):
-        seed = int(os.environ["DYNS_SEED"])
+    env_seed = os.environ.get("DYNS_SEED")
+    if seed is None and env_seed:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            from .errors import ConfigError
+            raise ConfigError(f"DYNS_SEED must be an integer, got {env_seed!r}") from None
     cfg = resolve_config(config_path=args.config, overrides=args.overrides,
                          profile=getattr(args, "profile", None), seed=seed)
     cfg["threads"] = args.threads

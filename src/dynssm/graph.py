@@ -53,15 +53,20 @@ change while a tape records, so no subject reads stale maps; with no tape,
 each forward forms them afresh. The desk width's 8 such nodes (the folded
 maps) are left per block, as they hold ~2 kB.
 
-Unfactored, the encoder runs in blocks of B time steps (``_block_steps``),
-B = max(1, ``tt._CHUNK`` // (2·N·d_lat)), so that two of a block's
-(B, N, d_lat) arrays fill one attention chunk, about an L2: 256 steps at
-the desk width with N = 16. A block's projection, attention and residual
-sum are formed before the next block starts, and one ``tt.concat`` joins
-the blocks. The attention is per step, so this is the whole-sequence
-result bit for bit, and a long forward never holds full-length q, k, v or
-context arrays. A sequence of at most B steps is one block, with no slice
-or concat node.
+Unfactored, the graph stage runs in blocks of B time steps
+(``_block_steps``), B = max(1, ``tt._CHUNK`` // (2·N·d_lat)), so that two
+of a block's (B, N, d_lat) arrays fill one attention chunk, about an L2:
+256 steps at the desk width with N = 16. After the conv, every stage up to
+the filtered signal reads one step only, so a block's projection, ROI
+attention, residual sum and row-normalized filter are all formed before
+the next block starts, and one ``tt.concat`` joins only the blocks'
+(B, N) filtered signals (``DynGraphSequence.filtered``). This is the
+whole-sequence result bit for bit, and a long forward never holds a
+full-length q, k, v, context or embedding array: the graph stage's memory
+grows with the block, not with the scan. The embeddings themselves, read by
+the adjacency, are joined by one ``tt.concat`` of the blocks when read. A
+sequence of at most B steps, or one with attention off, is one block, with
+no slice or concat node, formed whole by ``encode_nodes``.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -138,17 +143,33 @@ class NodeEncoderParams:
 class DynGraphSequence:
     """Per-step adjacency matrices, filtered signals, and node embeddings.
 
-    ``encode_sequence`` computes only ``nodes`` (and ``basis``); the rest is
-    formed when read, so a forward pays only for what it uses. The Gram,
-    the adjacency and the filtered signal are each formed once, at their
-    first read, on whatever tape records then. The embeddings are ``nodes``
-    itself, or ``nodes @ basis.T`` when the encoder ran factored.
+    ``encode_sequence`` computes only the nodes of a sequence that is one
+    block (and ``basis``), or only the conv features of a longer one; the
+    rest is formed when read, so a forward pays only for what it uses.
+    ``embed`` forms the nodes of the time steps in a slice, ``steps`` per
+    block (see the module docstring). The nodes, the Gram, the adjacency
+    and the filtered signal are each formed once, at their first read, on
+    whatever tape records then; ``filtered`` forms each block's nodes
+    itself and keeps none of them. The embeddings are ``nodes`` itself, or
+    ``nodes @ basis.T`` when the encoder ran factored.
     """
 
-    signal: Tensor                   # (T, N), the signal the graphs filter
-    nodes: Tensor                    # (T, N, d_lat), or (T, N, k) on ``basis``
-    basis: Optional[Tensor] = None   # (d_lat, k)
+    signal: Tensor                       # (T, N), the signal the graphs filter
+    embed: Callable[[slice], Tensor]     # steps -> their (steps, N, d_lat), or (steps, N, k) on ``basis``
+    steps: int                           # per block: T when the nodes are formed whole
+    basis: Optional[Tensor] = None       # (d_lat, k)
     mode: str = "row_normalized"
+
+    @property
+    def _blocks(self) -> list[slice]:
+        T = self.signal.shape[0]
+        return [slice(t, t + self.steps) for t in range(0, T, self.steps)]
+
+    @cached_property
+    def nodes(self) -> Tensor:
+        """(T, N, d_lat), or (T, N, k) on ``basis``: the blocks' nodes, joined by one concat."""
+        blocks = [self.embed(b) for b in self._blocks]
+        return blocks[0] if len(blocks) == 1 else tt.concat(blocks, axis=0)
 
     @property
     def embeddings(self) -> Tensor:
@@ -182,18 +203,28 @@ class DynGraphSequence:
         attention with k = Z and v = x, which forms no adjacency. Unfactored,
         q = Z and scale = 1/√d; factored, q = Z·gram and scale = 1, with the
         gram as the attention's ``q_map``, so Z·gram is formed inside the op
-        and not kept. Other modes read the adjacency.
+        and not kept. Each block's nodes are formed and filtered before the
+        next block's, and one concat joins the (steps, N) outputs; a single
+        block reads ``nodes``. Other modes read the adjacency.
         """
-        x, z, gram = self.signal, self.nodes, self.gram
+        x = self.signal
         if self.mode != "row_normalized":
             return tt.bmv(_filter_weights(self.adjacency, self.mode), x)
-        T, N = x.shape
-        scale = 1.0 / math.sqrt(z.shape[-1]) if gram is None else 1.0
-        return tt.attention(z, z, x.reshape((T, N, 1)), scale, q_map=gram).reshape((T, N))
+        blocks = self._blocks
+        if len(blocks) == 1:
+            return self._attend(self.nodes, x)
+        return tt.concat([self._attend(self.embed(b), x[b]) for b in blocks], axis=0)
+
+    def _attend(self, z: Tensor, x: Tensor) -> Tensor:
+        """The row-normalized filter of the (steps, N) signal ``x`` on its nodes ``z``."""
+        steps, N = x.shape
+        scale = 1.0 / math.sqrt(z.shape[-1]) if self.gram is None else 1.0
+        return tt.attention(z, z, x.reshape((steps, N, 1)), scale,
+                            q_map=self.gram).reshape((steps, N))
 
 
-def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
-    """Per-region temporal features: (T, N) -> (T, N, conv_features)."""
+def _checked_shape(x: Tensor, params: NodeEncoderParams) -> tuple[int, int]:
+    """(T, N) of an input the node encoder accepts; raises ``ShapeError`` otherwise."""
     if x.ndim != 2:
         raise ShapeError(f"node encoder expects (T, N) input, got shape {x.shape}")
     T, N = x.shape
@@ -201,6 +232,12 @@ def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
         raise ShapeError(f"input too short: T={T} < kernel_size={params.kernel_size}")
     if N < 2:
         raise ShapeError(f"need at least 2 regions, got N={N}")
+    return T, N
+
+
+def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
+    """Per-region temporal features: (T, N) -> (T, N, conv_features)."""
+    T, N = _checked_shape(x, params)
     feats = tt.grouped_conv1d(x, params.kernel_size, params.conv_w,
                               group_count=N, bias=params.conv_b)
     f = params.conv_w.shape[1]
@@ -279,6 +316,11 @@ def _block_steps(n_rois: int, d_lat: int) -> int:
     return max(1, tt._CHUNK // (2 * n_rois * d_lat))
 
 
+def _steps(T: int, N: int, params: NodeEncoderParams) -> int:
+    """Steps per block for an unfactored (T, N) input: all T with attention off."""
+    return _block_steps(N, params.d_lat) if params.attention_enabled else T
+
+
 def _embed(feats: Tensor, params: NodeEncoderParams) -> Tensor:
     """``proj(feats)``, plus the ROI attention when it is enabled."""
     h = tt.linear(feats, params.proj_w, params.proj_b)
@@ -301,8 +343,8 @@ def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
         return tt.linear(*_node_factors(x, params))
     feats = conv_stage(x, params)
     T, N, _ = feats.shape
-    step = _block_steps(N, params.d_lat)
-    if T <= step or not params.attention_enabled:
+    step = _steps(T, N, params)
+    if T <= step:
         return _embed(feats, params)
     blocks = [_embed(feats[t:t + step], params) for t in range(0, T, step)]
     del feats   # untaped, the conv features go before the concat's output is made
@@ -339,15 +381,22 @@ def encode_sequence(x: Tensor, params: NodeEncoderParams,
     """Embeddings, per-step adjacency, and filtered signal for a full scan.
 
     Equivalent to calling infer_adjacency / graph_filter at every t; no
-    sliding windows are involved. Only the node embeddings (or, at widths
-    that factor, Z and U) are computed here; the adjacency and the filtered
-    signal are formed when read (``DynGraphSequence``).
+    sliding windows are involved. Only the node embeddings of a sequence
+    that is one block (or, at widths that factor, Z and U) are computed
+    here, and of a longer unfactored one only the conv features; its nodes
+    are formed per block when read. The adjacency and the filtered signal
+    are formed when read (``DynGraphSequence``).
     """
     if _factored(params):
         z, u = _node_factors(x, params)
-    else:
-        z, u = encode_nodes(x, params), None
-    return DynGraphSequence(signal=x, nodes=z, basis=u, mode=mode)
+        return DynGraphSequence(x, lambda _: z, z.shape[0], basis=u, mode=mode)
+    T, N = _checked_shape(x, params)
+    step = _steps(T, N, params)
+    if T <= step:
+        h = encode_nodes(x, params)
+        return DynGraphSequence(x, lambda _: h, T, mode=mode)
+    feats = conv_stage(x, params)
+    return DynGraphSequence(x, lambda b: _embed(feats[b], params), step, mode=mode)
 
 
 def static_filter(x: Tensor, g_seq: Tensor, mode: str = "row_normalized") -> Tensor:

@@ -206,6 +206,7 @@ class BrainSequenceClassifier:
                 filtered = gr.static_filter(x, seq.adjacency, mode=cfg.filter_mode)
             else:
                 filtered = seq.filtered
+            del seq   # untaped, the conv features go before the temporal model runs
             if isinstance(self.backbone, _MambaBackbone):
                 feats = self.backbone.forward(filtered, backend=backend)
             else:

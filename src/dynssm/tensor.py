@@ -647,7 +647,7 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 # Score entries per forward chunk of ``attention``: 1 MB of float64, so one
-# chunk's scores stay in a 2 MB L2 between passes. ``graph.encode_nodes``
+# chunk's scores stay in a 2 MB L2 between passes. The desk graph stage
 # sizes its time blocks by the same budget: two of a block's (steps, N,
 # d_lat) arrays hold ``_CHUNK`` floats (``graph._block_steps``).
 _CHUNK = 1 << 17

@@ -110,15 +110,24 @@ def _batch_gradients(model: BrainSequenceClassifier, batch: list,
 
 def evaluate(model: BrainSequenceClassifier, subjects: list,
              normalized: bool = False, eval_seed: int = 0x9E) -> Metrics:
-    """Deterministic inference pass -> confusion counts and derived metrics."""
+    """Deterministic inference pass -> confusion counts and derived metrics.
+
+    Unless ``normalized``, each subject is z-scored just before its own
+    forward, so one normalized copy is live at a time, not one per subject.
+    Every label must be ASD or TC; the first that is not is rejected before
+    any forward runs.
+    """
     if not subjects:
         raise EvaluationError("cannot evaluate an empty split")
-    if not normalized:
-        subjects = _prepare(subjects)
+    unusable = next((s for s in subjects if s.label not in _LABEL_INDEX), None)
+    if unusable is not None:
+        raise EvaluationError(f"subject {unusable.subject_id} has no usable label: "
+                              f"{unusable.label!r}")
     tp = fp = fn = tn = 0
     base = CounterRng(eval_seed)
     for i, subject in enumerate(subjects):
-        logits = model.forward(subject.values, training=False, rng=base.child(i))
+        values = (subject if normalized else normalize_zscore(subject)).values
+        logits = model.forward(values, training=False, rng=base.child(i))
         label, _ = classify(logits)
         if subject.label == "ASD":
             tp += label == "ASD"

@@ -314,6 +314,13 @@ class TestGenerateData:
                                                    shallow=False)
         assert not mismatch and not errors
 
+    def test_non_integer_dyns_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DYNS_SEED", "abc")
+        assert run_cli("generate-data", "--out", str(tmp_path / "ds"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dynssm: ") and "DYNS_SEED" in err and "'abc'" in err
+        assert not (tmp_path / "ds").exists()
+
     def test_null_dataset_flag(self, tmp_path):
         out = tmp_path / "null"
         assert run_cli("generate-data", "--null", "--seed", "1", "--out", str(out),

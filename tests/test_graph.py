@@ -301,6 +301,104 @@ class TestEncoderBlocks:
         assert names.count("concat") == 1 and names[-1] == "concat"
 
 
+def whole_filtered(x, params, encode=whole_encode_nodes):
+    """The desk graph stage as one block: the nodes of ``encode``, then one attention."""
+    h = encode(x, params)
+    T, N = x.shape
+    return tt.attention(h, h, x.reshape((T, N, 1)),
+                        1.0 / math.sqrt(params.d_lat)).reshape((T, N))
+
+
+class TestStreamedGraphStage:
+    """Unfactored, each time block is embedded and filtered before the next."""
+
+    B = TestEncoderBlocks.B
+
+    @staticmethod
+    def filtered_and_grads(filtered, p, x, w):
+        xt = Tensor(x, requires_grad=True)
+        named = {"x": xt, **p.named_params()}
+        with tt.Tape() as tape:
+            f = filtered(xt, p)
+            grads = tape.backward(tt.tsum(tt.mul(f, Tensor(w))), params=list(named.values()))
+        return f.data, {k: grads[v] for k, v in named.items()}
+
+    @pytest.mark.parametrize("T", [B, B + 1, 2 * B + 1])
+    def test_filtered_matches_whole_sequence(self, T):
+        p = randomize_biases(make_params(seed=3, **DESK), 4)
+        x = CounterRng(T).normal((T, 16))
+        w = CounterRng(T + 1).normal((T, 16))
+        assert np.array_equal(gr.encode_sequence(Tensor(x), p).filtered.data,
+                              whole_filtered(Tensor(x), p).data)
+        f, grads = self.filtered_and_grads(lambda xt, p: gr.encode_sequence(xt, p).filtered,
+                                           p, x, w)
+        ref_f, ref_grads = self.filtered_and_grads(whole_filtered, p, x, w)
+        assert np.array_equal(f, ref_f)
+        # the parameter gradients sum over the encoder's blocks, as encode_nodes' do
+        assert_grads_close(grads, ref_grads)
+        _, blocked = self.filtered_and_grads(
+            lambda xt, p: whole_filtered(xt, p, gr.encode_nodes), p, x, w)
+        for name, g in blocked.items():
+            assert np.array_equal(grads[name], g), name
+
+    @pytest.mark.parametrize("T", [B, B + 1, 2 * B + 1])
+    def test_logits_and_gradients_match_whole_sequence(self, T, monkeypatch):
+        from dynssm.model import BrainSequenceClassifier, ModelConfig
+        from dynssm.training import cross_entropy
+
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        randomize_biases(model.encoder, 4)
+        x = CounterRng(T).normal((T, 16))
+        params = model.named_trainable()
+
+        def run():
+            untaped = model.forward(x).data
+            with tt.Tape() as tape:
+                logits = model.forward(x, training=True, rng=CounterRng(8))
+                grads = tape.backward(cross_entropy(logits, 1), params=list(params.values()))
+            assert np.array_equal(logits.data, untaped)
+            return untaped, {k: grads[v] for k, v in params.items()}
+
+        logits, grads = run()
+        with monkeypatch.context() as m:
+            m.setattr(gr, "encode_sequence", lambda x, p, mode: type(
+                "Whole", (), {"filtered": whole_filtered(x, p, gr.encode_nodes)}))
+            ref_logits, ref_grads = run()
+        assert np.array_equal(logits, ref_logits)
+        for name, g in ref_grads.items():
+            assert np.array_equal(grads[name], g), name
+
+    def test_each_block_is_embedded_and_filtered_before_the_next(self):
+        p = make_params(seed=3, **DESK)
+        T = 2 * self.B + 1
+        with tt.Tape() as tape:
+            f = gr.encode_sequence(Tensor(CounterRng(T).normal((T, 16))), p).filtered
+        nodes = [(n.vjp.__qualname__.split(".")[0], n.out.shape) for n in tape.nodes]
+        names = [name for name, _ in nodes]
+        # per block: the ROI attention, then the filter's
+        assert [shape for name, shape in nodes if name == "attention"] == [
+            (s, 16, w) for s in (self.B, self.B, 1) for w in (DESK["d_lat"], 1)]
+        assert names.count("concat") == 1 and nodes[-1] == ("concat", (T, 16))
+        assert tape.nodes[-1].out is f
+        assert [p.shape for p in tape.nodes[-1].parents] == [(self.B, 16), (self.B, 16), (1, 16)]
+        assert not any(shape[:1] == (T,) and len(shape) == 3 and shape[-1] == DESK["d_lat"]
+                       for _, shape in nodes)
+
+    def test_embeddings_are_joined_when_read(self):
+        p = make_params(seed=3, **DESK)
+        T = 2 * self.B + 1
+        x = Tensor(CounterRng(T).normal((T, 16)))
+        with tt.Tape() as tape:
+            seq = gr.encode_sequence(x, p)
+            before = len(tape.nodes)
+            h = seq.embeddings
+        names = [n.vjp.__qualname__.split(".")[0] for n in tape.nodes[before:]]
+        assert names.count("getitem") == 3 and names.count("concat") == 1
+        assert tape.nodes[-1].out is h and h.shape == (T, 16, DESK["d_lat"])
+        assert np.array_equal(h.data, gr.encode_nodes(x, p).data)
+        assert seq.nodes is h and seq.adjacency.shape == (T, 16, 16)
+
+
 class TestAttentionFilter:
     """At both widths the row-normalized filter is one attention on Z."""
 

@@ -1,6 +1,7 @@
 """Loss, Adam, metrics, gradient accumulation, variants, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,32 @@ class TestEvaluate:
         m1 = TR.evaluate(model, subjects)
         m2 = TR.evaluate(model, subjects)
         assert m1 == m2
+
+    def test_unusable_label_rejected_before_any_forward(self, monkeypatch):
+        spec = D.default_synth_spec(seed=5, subjects_per_class=2, length=24)
+        subjects = D.synth_generate(spec)
+        subjects[2] = D.RoiTimeSeries(subjects[2].subject_id, subjects[2].values, None)
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        monkeypatch.setattr(model, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        with pytest.raises(EvaluationError, match=f"{subjects[2].subject_id}.*None"):
+            TR.evaluate(model, subjects)
+
+    def test_long_subjects_are_normalized_one_at_a_time(self):
+        # Each subject is z-scored just before its forward, so eight T=2048
+        # subjects never hold eight normalized copies (256 kB each) at once.
+        spec = D.default_synth_spec(seed=3, subjects_per_class=4, length=2048)
+        subjects = D.synth_generate(spec)
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            metrics = TR.evaluate(model, subjects)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"evaluate peaks {peak / 2**20:.1f} MiB above its start"
+        assert metrics == TR.evaluate(model, [D.normalize_zscore(s) for s in subjects],
+                                      normalized=True)
 
 
 class TestVariants:
