@@ -155,7 +155,7 @@ class DynGraphSequence:
     """
 
     signal: Tensor                       # (T, N), the signal the graphs filter
-    embed: Callable[[slice], Tensor]     # steps -> their (steps, N, d_lat), or (steps, N, k) on ``basis``
+    embed: Callable[[slice], Tensor]     # a slice of steps -> those steps' nodes
     steps: int                           # per block: T when the nodes are formed whole
     basis: Optional[Tensor] = None       # (d_lat, k)
     mode: str = "row_normalized"
