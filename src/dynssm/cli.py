@@ -14,7 +14,9 @@ import sys
 import time
 from pathlib import Path
 
-from .config import _PROFILES, resolve_config
+from .config import _PROFILES, resolve_config, validate_data
+from .errors import (ConfigError, ContentError, ContractError, EvaluationError, LengthError,
+                     NumericsError, OracleError, ParseError, ShapeError, SplitError)
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -136,7 +138,6 @@ def _resolve(args) -> dict:
         try:
             seed = int(env_seed)
         except ValueError:
-            from .errors import ConfigError
             raise ConfigError(f"DYNS_SEED must be an integer, got {env_seed!r}") from None
     cfg = resolve_config(config_path=args.config, overrides=args.overrides,
                          profile=getattr(args, "profile", None), seed=seed)
@@ -179,7 +180,6 @@ def _write_resolved(cfg: dict, out_dir: Path) -> None:
 
 def _read_json(path: Path, text: str | None = None, line: int | None = None) -> dict:
     """One JSON object from ``path`` (or from its line ``line``, given as ``text``)."""
-    from .errors import ParseError
     try:
         value = json.loads(path.read_text() if text is None else text)
     except json.JSONDecodeError as e:
@@ -191,7 +191,6 @@ def _read_json(path: Path, text: str | None = None, line: int | None = None) -> 
 
 def _require_keys(value: dict, template: dict, path: Path, prefix: str = "") -> None:
     """Raise ParseError naming the first key of ``template`` missing from ``value``."""
-    from .errors import ParseError
     for key, sub in template.items():
         if key not in value:
             raise ParseError(f"{path}: missing key {prefix}{key}")
@@ -204,6 +203,7 @@ def _require_keys(value: dict, template: dict, path: Path, prefix: str = "") -> 
 def _synth_split(cfg: dict, null: bool = False):
     from .data import default_synth_spec, null_synth_spec, split_dataset, synth_generate
     d = cfg["data"]
+    validate_data(d)
     make_spec = null_synth_spec if null else default_synth_spec
     spec = make_spec(seed=cfg["seed"], n_rois=d["n_rois"], length=d["length"],
                      subjects_per_class=d["subjects_per_class"], separation=d["separation"],
@@ -304,6 +304,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError(f"--variants names no variant, got {args.variants!r}")
     cfg = _resolve(args)
     from .config import build_model_config, build_train_config
     from .model import variant_config
@@ -317,7 +320,6 @@ def cmd_ablate(args) -> int:
         _, _, split = _synth_split(cfg)
     base_model_cfg = build_model_config(cfg, split.train[0].n_rois)
     base_model_cfg.validate()
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for variant in variants:   # a variant can change the backbone or the alignment
         variant_config(base_model_cfg, variant).validate()
     out_dir = _run_dir(args, cfg)
@@ -337,7 +339,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_scan_bench(args) -> int:
-    from .errors import ConfigError
     try:
         lengths = [int(v) for v in args.lengths.split(",")]
     except ValueError:
@@ -383,13 +384,13 @@ def cmd_scan_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _resolve(args)
     from .gradcheck import run_gradcheck
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     results = run_gradcheck(seeds=args.seeds, base_seed=cfg["seed"], only=only)
     failed = False
     for name, err in results.items():
-        status = "ok" if err < args.tol else "FAIL"
-        failed = failed or err >= args.tol
-        _say(args, f"{status:4s} {name:24s} max_rel_err={err:.3e}")
+        ok = err < args.tol   # False for a NaN error or tolerance, so FAIL
+        failed = failed or not ok
+        _say(args, f"{'ok' if ok else 'FAIL':4s} {name:24s} max_rel_err={err:.3e}")
     _emit(args, {"tol": args.tol, "results": {k: float(v) for k, v in results.items()}})
     return NUMERIC_EXIT if failed else 0
 
@@ -433,9 +434,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    from .errors import (ConfigError, ContentError, ContractError, EvaluationError,
-                         LengthError, NumericsError, OracleError, ParseError,
-                         ShapeError, SplitError)
     try:
         return _HANDLERS[args.command](args)
     except (ConfigError, ContractError, ShapeError, LengthError) as e:

@@ -34,6 +34,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    """A count must be an integer (not a bool) and at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class ModelConfig:
     """Model hyperparameters; the field defaults are the paper-scale values."""
@@ -78,11 +86,7 @@ class ModelConfig:
         if self.filter_mode not in FILTER_MODES:
             raise ConfigError(f"unknown filter mode {self.filter_mode!r}; options: {FILTER_MODES}")
         for name in _SIZES:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            _check_count(name, getattr(self, name))
         if self.prompt_len >= self.vocab:
             raise ConfigError("prompt_len must be in [1, vocab)")
         if self.kernel_size % 2 == 0:
@@ -123,6 +127,11 @@ class TrainConfig:
     val_fraction: float = 0.1    # carve-out of train used for model selection
 
     def validate(self) -> None:
+        for name in ("epochs", "batch_size", "accumulation_steps"):
+            _check_count(name, getattr(self, name))
+        for name in ("learning_rate", "beta1", "beta2", "eps", "val_fraction"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         # written so that NaN fails every check
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
@@ -130,12 +139,17 @@ class TrainConfig:
             raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"eps must be finite and positive, got {self.eps}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1 or self.accumulation_steps < 1:
-            raise ConfigError("batch_size and accumulation_steps must be >= 1")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+
+
+def validate_data(data: dict) -> None:
+    """Before any template or file is made: ``data`` counts >= 1, other values numbers."""
+    for key, value in data.items():
+        if key in ("n_rois", "length", "subjects_per_class"):
+            _check_count(f"data.{key}", value)
+        elif not _is_number(value):
+            raise ConfigError(f"data.{key} must be a number, got {value!r}")
 
 
 def _field_defaults(cls, internal: tuple) -> dict:

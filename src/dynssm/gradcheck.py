@@ -17,6 +17,7 @@ from . import align as al
 from . import graph as gr
 from . import ssm as sm
 from . import tensor as tt
+from .errors import ConfigError
 from .model import BrainSequenceClassifier, ModelConfig
 from .rng import CounterRng
 from .tensor import Tensor, finite_diff_check
@@ -375,8 +376,13 @@ CHECKS: dict[str, Callable[[int], float]] = {
 
 def run_gradcheck(seeds: int = 20, base_seed: int = 0,
                   only: list[str] | None = None) -> dict[str, float]:
-    """Max relative finite-difference error per check over ``seeds`` seeds."""
-    names = only if only else list(CHECKS)
+    """Max relative finite-difference error per check over ``seeds`` (>= 1) seeds."""
+    if seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {seeds}")
+    names = list(CHECKS) if only is None else only
+    for name in names or [""]:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; options: {', '.join(CHECKS)}")
     results = {}
     for name in names:
         check = CHECKS[name]

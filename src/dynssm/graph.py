@@ -66,7 +66,7 @@ full-length q, k, v, context or embedding array: the graph stage's memory
 grows with the block, not with the scan. The embeddings themselves, read by
 the adjacency, are joined by one ``tt.concat`` of the blocks when read. A
 sequence of at most B steps, or one with attention off, is one block, with
-no slice or concat node, formed whole by ``encode_nodes``.
+no slice or concat node, formed whole by ``encode_sequence``.
 """
 
 from __future__ import annotations
@@ -223,8 +223,8 @@ class DynGraphSequence:
                             q_map=self.gram).reshape((steps, N))
 
 
-def _checked_shape(x: Tensor, params: NodeEncoderParams) -> tuple[int, int]:
-    """(T, N) of an input the node encoder accepts; raises ``ShapeError`` otherwise."""
+def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
+    """Per-region temporal features: (T, N) -> (T, N, conv_features)."""
     if x.ndim != 2:
         raise ShapeError(f"node encoder expects (T, N) input, got shape {x.shape}")
     T, N = x.shape
@@ -232,12 +232,6 @@ def _checked_shape(x: Tensor, params: NodeEncoderParams) -> tuple[int, int]:
         raise ShapeError(f"input too short: T={T} < kernel_size={params.kernel_size}")
     if N < 2:
         raise ShapeError(f"need at least 2 regions, got N={N}")
-    return T, N
-
-
-def conv_stage(x: Tensor, params: NodeEncoderParams) -> Tensor:
-    """Per-region temporal features: (T, N) -> (T, N, conv_features)."""
-    T, N = _checked_shape(x, params)
     feats = tt.grouped_conv1d(x, params.kernel_size, params.conv_w,
                               group_count=N, bias=params.conv_b)
     f = params.conv_w.shape[1]
@@ -316,11 +310,6 @@ def _block_steps(n_rois: int, d_lat: int) -> int:
     return max(1, tt._CHUNK // (2 * n_rois * d_lat))
 
 
-def _steps(T: int, N: int, params: NodeEncoderParams) -> int:
-    """Steps per block for an unfactored (T, N) input: all T with attention off."""
-    return _block_steps(N, params.d_lat) if params.attention_enabled else T
-
-
 def _embed(feats: Tensor, params: NodeEncoderParams) -> Tensor:
     """``proj(feats)``, plus the ROI attention when it is enabled."""
     h = tt.linear(feats, params.proj_w, params.proj_b)
@@ -332,23 +321,10 @@ def _embed(feats: Tensor, params: NodeEncoderParams) -> Tensor:
 def encode_nodes(x: Tensor, params: NodeEncoderParams) -> Tensor:
     """Embed every region at every time step: (T, N) -> (T, N, d_lat).
 
-    ``h = proj(conv_stage(x))``, plus ``attn(h)`` when attention is enabled.
-    At widths that factor (``_factored``), h is formed only as ``Z Uᵀ``;
-    otherwise the attention takes its q/k/v from the conv features through
-    the folded maps, in blocks of ``_block_steps`` time steps joined by one
-    ``tt.concat`` (module docstring). A sequence of at most one block, or
-    one with attention off, runs whole, with no slice or concat node.
+    ``h = proj(conv_stage(x))``, plus ``attn(h)`` when attention is enabled:
+    the embeddings of ``encode_sequence``, the one place nodes are formed.
     """
-    if _factored(params):
-        return tt.linear(*_node_factors(x, params))
-    feats = conv_stage(x, params)
-    T, N, _ = feats.shape
-    step = _steps(T, N, params)
-    if T <= step:
-        return _embed(feats, params)
-    blocks = [_embed(feats[t:t + step], params) for t in range(0, T, step)]
-    del feats   # untaped, the conv features go before the concat's output is made
-    return tt.concat(blocks, axis=0)
+    return encode_sequence(x, params).embeddings
 
 
 def infer_adjacency(h_t: Tensor) -> Tensor:
@@ -381,21 +357,22 @@ def encode_sequence(x: Tensor, params: NodeEncoderParams,
     """Embeddings, per-step adjacency, and filtered signal for a full scan.
 
     Equivalent to calling infer_adjacency / graph_filter at every t; no
-    sliding windows are involved. Only the node embeddings of a sequence
-    that is one block (or, at widths that factor, Z and U) are computed
-    here, and of a longer unfactored one only the conv features; its nodes
-    are formed per block when read. The adjacency and the filtered signal
-    are formed when read (``DynGraphSequence``).
+    sliding windows are involved. This is the only place a sequence's nodes
+    are formed: Z and U here at widths that factor (``_factored``); else the
+    conv features here, and the nodes of a sequence that is one block of
+    ``_block_steps`` steps (or has attention off) whole, here, or a longer
+    one's per block when read. The adjacency and the filtered signal are
+    formed when read (``DynGraphSequence``).
     """
     if _factored(params):
         z, u = _node_factors(x, params)
         return DynGraphSequence(x, lambda _: z, z.shape[0], basis=u, mode=mode)
-    T, N = _checked_shape(x, params)
-    step = _steps(T, N, params)
-    if T <= step:
-        h = encode_nodes(x, params)
-        return DynGraphSequence(x, lambda _: h, T, mode=mode)
     feats = conv_stage(x, params)
+    T, N, _ = feats.shape
+    step = _block_steps(N, params.d_lat) if params.attention_enabled else T
+    if T <= step:
+        h = _embed(feats, params)
+        return DynGraphSequence(x, lambda _: h, T, mode=mode)
     return DynGraphSequence(x, lambda b: _embed(feats[b], params), step, mode=mode)
 
 

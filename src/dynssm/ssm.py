@@ -8,9 +8,11 @@ is one tape op, ``selective_block``: its forward pass forms the rates
 of ``tensor.selective_scan``, which takes about 2*sqrt(T) vectorised steps.
 As in Mamba (Gu & Dao 2023, arXiv:2312.00752, section 3.3.2), the node keeps
 only the timescale and the states, and its backward pass recomputes the rest
-(Chen et al. 2016, arXiv:1604.06174). The "parallel" backend is the default
-and uses the scan's default chunk; the "sequential" backend runs the same op
-as a single chunk, the plain left-to-right order, and is kept as the
+(Chen et al. 2016, arXiv:1604.06174). The ``backbone:s4`` ablation runs
+the same block with a zero ``w_delta``, so its Delta is the constant
+softplus(delta_bias) (``model._S4Backbone``). The "parallel" backend is the
+default and uses the scan's default chunk; the "sequential" backend runs the
+same op as a single chunk, the plain left-to-right order, and is kept as the
 reference. ``scan_sequential`` and ``scan_parallel`` run the first block alone
 in those two ways; the tests and the benchmark compare them with their own
 loop references.

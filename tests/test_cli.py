@@ -171,6 +171,21 @@ CONFIG_WITHOUT_DATA_LENGTH = default_config()
 del CONFIG_WITHOUT_DATA_LENGTH["data"]["length"]
 
 
+# A count that is not an integer, or a rate that is not a number
+MISTYPED = [
+    ("train.batch_size=2.5", "batch_size must be an integer, got 2.5"),
+    ("train.epochs=1.5", "epochs must be an integer, got 1.5"),
+    ("train.epochs=true", "epochs must be an integer, got True"),
+    ("train.accumulation_steps=2.0", "accumulation_steps must be an integer, got 2.0"),
+    ('train.learning_rate="abc"', "learning_rate must be a number, got 'abc'"),
+    ('train.beta2="0.9"', "beta2 must be a number, got '0.9'"),
+    ("data.length=40.5", "data.length must be an integer, got 40.5"),
+    ("data.subjects_per_class=2.5", "data.subjects_per_class must be an integer, got 2.5"),
+    ("data.n_rois=12.0", "data.n_rois must be an integer, got 12.0"),
+    ('data.noise_std="abc"', "data.noise_std must be a number, got 'abc'"),
+]
+
+
 class TestExitCodes:
     def test_epochs_zero_is_usage_error(self, tmp_path):
         out = tmp_path / "r"
@@ -282,6 +297,43 @@ class TestExitCodes:
         # impossible tolerance forces the numerical-failure exit code
         assert run_cli("gradcheck", "--seeds", "1", "--tol", "0",
                        "--only", "end_to_end_loss", "--quiet") == 3
+
+    def test_gradcheck_nan_tolerance_fails(self, capsys):
+        # no error is below NaN, so the printed FAIL sets the exit code
+        assert run_cli("gradcheck", "--seeds", "1", "--tol", "nan", "--only", "add") == 3
+        assert capsys.readouterr().out.startswith("FAIL add ")
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--seeds", "0"), "seeds must be >= 1, got 0"),
+        (("--seeds", "-3"), "seeds must be >= 1, got -3"),
+        (("--only", "bogus"), "unknown check 'bogus'; options: add, sub"),
+        (("--only", "add,"), "unknown check ''; options: add, sub"),
+        (("--only", ""), "unknown check ''; options: add, sub"),
+    ], ids=["zero-seeds", "negative-seeds", "unknown-check", "trailing-comma", "empty"])
+    def test_gradcheck_that_would_run_nothing_is_config_error(self, capsys, flags, message):
+        assert run_cli("gradcheck", "--seeds", "1", "--only", "add", *flags, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dynssm: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override,message", MISTYPED,
+                             ids=[override.split("=")[0] for override, _ in MISTYPED])
+    def test_mistyped_train_or_data_value_is_config_error_before_any_file(
+            self, tmp_path, capsys, override, message):
+        out = tmp_path / "r"
+        assert run_cli("train", "--out", str(out), "--quiet",
+                       "--set", "data.subjects_per_class=3", "--set", "data.length=24",
+                       "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dynssm: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants", [",", ""], ids=["comma", "empty"])
+    def test_ablate_with_no_variant_is_config_error_before_any_file(self, tmp_path, capsys,
+                                                                     variants):
+        out = tmp_path / "abl"
+        assert run_cli("ablate", "--out", str(out), "--variants", variants, "--quiet") == 1
+        assert "--variants names no variant" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenerateData:

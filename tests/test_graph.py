@@ -360,9 +360,10 @@ class TestStreamedGraphStage:
             return untaped, {k: grads[v] for k, v in params.items()}
 
         logits, grads = run()
+        real = gr.encode_sequence   # encode_nodes reads it, so keep it from the patch
         with monkeypatch.context() as m:
-            m.setattr(gr, "encode_sequence", lambda x, p, mode: type(
-                "Whole", (), {"filtered": whole_filtered(x, p, gr.encode_nodes)}))
+            m.setattr(gr, "encode_sequence", lambda x, p, mode: type("Whole", (), {
+                "filtered": whole_filtered(x, p, lambda x, p: real(x, p).embeddings)}))
             ref_logits, ref_grads = run()
         assert np.array_equal(logits, ref_logits)
         for name, g in ref_grads.items():

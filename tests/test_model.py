@@ -219,6 +219,68 @@ class TestEveryParameterLearns:
         assert [name for name, peak in peaks.items() if peak <= 1e-8 * largest] == []
 
 
+def composed_s4_forward(bb, x):
+    """The S4 backbone as separate tape ops: constant rates, then ``tt.selective_scan``."""
+    blk = bb.block
+    delta = tt.softplus(blk.delta_bias)
+    a_seq = tt.mul(Tensor(np.ones((x.shape[0], blk.a.shape[0]))),
+                   tt.exp(-(delta * tt.softplus(blk.a))))
+    states = tt.selective_scan(a_seq, tt.mul(tt.linear(x, blk.w_b), delta))
+    return tt.linear(states, bb.w_out, bb.b_out)
+
+
+class TestS4Backbone:
+    CFG = ModelConfig.desk(n_rois=16, backbone="s4")
+
+    @staticmethod
+    def run(model, T):
+        x = CounterRng(T).normal((T, 16))
+        params = model.named_trainable()
+        untaped = model.forward(x).data
+        with tt.Tape() as tape:
+            loss = cross_entropy(model.forward(x, training=True, rng=CounterRng(8)), 1)
+            nodes = len(tape.nodes)
+            grads = tape.backward(loss, params=list(params.values()))
+        return untaped, loss.data, nodes, {k: grads[v] for k, v in params.items()}
+
+    @pytest.mark.parametrize("T", [3, 128, 300])
+    def test_matches_the_composed_scan(self, monkeypatch, T):
+        # backbone:s4 is one selective block with a zero timescale map; its
+        # rates and scan as separate ops are the reference.
+        model = BrainSequenceClassifier(self.CFG)
+        rng = CounterRng(3)   # biases off zero, so every gradient is exercised
+        for t in (model.backbone.block.delta_bias, model.backbone.b_out):
+            t.data = rng.normal(t.shape, std=0.3)
+        untaped, loss, _, grads = self.run(model, T)
+        monkeypatch.setattr(model.backbone, "forward",
+                            lambda x: composed_s4_forward(model.backbone, x))
+        ref_untaped, ref_loss, _, ref_grads = self.run(model, T)
+        assert untaped.tobytes() == ref_untaped.tobytes()
+        assert loss.tobytes() == ref_loss.tobytes()
+        for name, ref in ref_grads.items():
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_training_forward_records_one_scan_node(self):
+        # 57 nodes: the parent's composed scan recorded 65
+        _, _, nodes, _ = self.run(BrainSequenceClassifier(self.CFG), 128)
+        assert nodes == 57
+
+    def test_checkpoint_names_and_draws(self):
+        model = BrainSequenceClassifier(self.CFG)
+        bb = model.backbone
+        assert list(bb.named_params()) == [f"temporal.{n}" for n in
+                                           ("a", "delta", "w_b", "w_out", "b_out")]
+        assert not bb.block.w_delta.requires_grad and not bb.block.w_delta.data.any()
+        assert all(t is not bb.block.w_delta for t in model.all_named_params().values())
+        # the draws keep their order: a, then w_b, then w_out
+        rng = CounterRng(self.CFG.param_seed).child(2)
+        d_h = self.CFG.d_h
+        a = rng.normal((d_h,), std=0.5) - 1.0
+        w_b, w_out = (tt.init_weight(rng, shape, shape[1]) for shape in ((d_h, 16), (d_h, d_h)))
+        for got, want in ((bb.block.a, a), (bb.block.w_b, w_b.data), (bb.w_out, w_out.data)):
+            assert got.data.tobytes() == want.tobytes()
+
+
 class TestForwardModes:
     def test_static_graph_changes_output(self):
         x = CounterRng(2).normal((20, 8))
