@@ -141,6 +141,7 @@ def _resolve(args) -> dict:
             raise ConfigError(f"DYNS_SEED must be an integer, got {env_seed!r}") from None
     cfg = resolve_config(config_path=args.config, overrides=args.overrides,
                          profile=getattr(args, "profile", None), seed=seed)
+    validate_data(cfg["data"])   # before any template is built or any file is written
     cfg["threads"] = args.threads
     if getattr(args, "variant", None):
         cfg["variant"] = args.variant
@@ -203,7 +204,6 @@ def _require_keys(value: dict, template: dict, path: Path, prefix: str = "") -> 
 def _synth_split(cfg: dict, null: bool = False):
     from .data import default_synth_spec, null_synth_spec, split_dataset, synth_generate
     d = cfg["data"]
-    validate_data(d)
     make_spec = null_synth_spec if null else default_synth_spec
     spec = make_spec(seed=cfg["seed"], n_rois=d["n_rois"], length=d["length"],
                      subjects_per_class=d["subjects_per_class"], separation=d["separation"],

@@ -357,12 +357,12 @@ def encode_sequence(x: Tensor, params: NodeEncoderParams,
     """Embeddings, per-step adjacency, and filtered signal for a full scan.
 
     Equivalent to calling infer_adjacency / graph_filter at every t; no
-    sliding windows are involved. This is the only place a sequence's nodes
-    are formed: Z and U here at widths that factor (``_factored``); else the
-    conv features here, and the nodes of a sequence that is one block of
-    ``_block_steps`` steps (or has attention off) whole, here, or a longer
-    one's per block when read. The adjacency and the filtered signal are
-    formed when read (``DynGraphSequence``).
+    sliding windows are involved. This is the only function that forms a
+    sequence's nodes. At widths that factor (``_factored``) it forms Z and
+    U. Otherwise it runs ``conv_stage``, then forms the nodes of a sequence
+    of one ``_block_steps`` block (or with attention off) whole, here, and
+    those of a longer one per block when read. The adjacency and the
+    filtered signal are formed when read (``DynGraphSequence``).
     """
     if _factored(params):
         z, u = _node_factors(x, params)

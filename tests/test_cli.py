@@ -471,7 +471,9 @@ class TestScanBench:
         ("--lengths", "abc", "--lengths must be"),
         ("--lengths", "-5", "--lengths must be"),
         ("--repeats", "0", "--repeats must be"),
-    ], ids=["empty-length", "not-a-number", "negative-length", "zero-repeats"])
+        ("--set", "data.n_rois=2.5", "data.n_rois must be an integer, got 2.5"),
+    ], ids=["empty-length", "not-a-number", "negative-length", "zero-repeats",
+            "non-integer-rois"])
     def test_bad_input_is_config_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "bench.csv"
         assert run_cli("scan-bench", "--lengths", "8", "--repeats", "1",
