@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-_LAZY = {"Tensor": "tensor", "Tape": "tensor", "backward": "tensor",
-         "finite_diff_check": "tensor"}
+_LAZY = {"Tensor": "tensor", "Tape": "tensor", "finite_diff_check": "tensor"}
 
 
 def __getattr__(name):

@@ -17,26 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as tt
+from .data import LABELS
 from .errors import ConfigError, ContractError, LengthError, ShapeError
 from .rng import CounterRng
 from .tensor import Tensor
-
-CLASS_NAMES = ("ASD", "TC")   # logit index 0 is the positive class
-
-
-@dataclass
-class BrainTokens:
-    """K x d_k compressed representation handed to the surrogate."""
-
-    z: Tensor
-
-    @property
-    def count(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.z.shape[1]
 
 
 @dataclass
@@ -62,14 +46,15 @@ class CompressParams:
 
 def compress_tokens(states: Tensor, params: CompressParams,
                     uniform_attention: bool = False,
-                    score_mask: Optional[np.ndarray] = None) -> BrainTokens:
+                    score_mask: Optional[np.ndarray] = None) -> Tensor:
     """Cross-attention pooling of (T, d_h) states into K tokens of width d_k.
 
-    Output shape is (K, d_k) regardless of T. ``uniform_attention`` replaces
-    the attention with the mean over time and gives one token, the meanpool
-    alignment; ``score_mask``, a finite (K, T) array, is added to the
-    attention scores, so large negative entries mask states out (for padding
-    invariance checks).
+    Returns the (K, d_k) Tensor of brain tokens that ``surrogate_forward``
+    takes, for any T. ``uniform_attention`` replaces the attention with the
+    mean over time and gives one token, the meanpool alignment;
+    ``score_mask``, a finite (K, T) array, is added to the attention scores,
+    so large negative entries mask states out (for padding invariance
+    checks).
     """
     if states.ndim != 2 or states.shape[0] < 1:
         raise ShapeError(f"compress_tokens expects (T, d_h) with T >= 1, got {states.shape}")
@@ -81,7 +66,7 @@ def compress_tokens(states: Tensor, params: CompressParams,
     else:
         mask = None if score_mask is None else Tensor(score_mask).data   # rejects NaN/Inf
         pooled = tt.attention(params.queries, states, states, 1.0 / math.sqrt(d_h), mask)
-    return BrainTokens(z=tt.linear(pooled, params.proj_w, params.proj_b))
+    return tt.linear(pooled, params.proj_w, params.proj_b)
 
 
 @dataclass
@@ -278,36 +263,37 @@ def _mha(x: Tensor, model: SurrogateModel, block: str, training: bool,
     return tt.linear(ctx, f[f"{block}.wo"])
 
 
-def surrogate_forward(brain: Optional[BrainTokens], prompt_ids: Sequence[int],
+def surrogate_forward(brain: Optional[Tensor], prompt_ids: Sequence[int],
                       model: SurrogateModel, training: bool = False,
                       rng: Optional[CounterRng] = None) -> Tensor:
     """Run brain tokens + prompt through the adapted frozen stack; 2 logits.
 
-    Brain tokens are prepended to the prompt embeddings. Attention is
-    bidirectional and brain tokens carry no positional term unless the model
-    has per-token offsets, so with offsets absent the logits are invariant to
-    brain-token order. The final prompt position is pooled for the head.
+    ``brain`` is None or a (K, d_k) Tensor of brain tokens; any other shape is
+    a ShapeError. Brain tokens are prepended to the prompt embeddings.
+    Attention is bidirectional and brain tokens carry no positional term
+    unless the model has per-token offsets, so with offsets absent the logits
+    are invariant to brain-token order. The final prompt position is pooled
+    for the head.
     """
     prompt_ids = np.asarray(list(prompt_ids), dtype=np.int64)
     if prompt_ids.size == 0:
         raise ShapeError("prompt must contain at least one token id")
     if prompt_ids.min() < 0 or prompt_ids.max() >= model.vocab:
         raise ShapeError(f"prompt ids out of range for vocabulary of {model.vocab}")
-    k = brain.count if brain is not None else 0
+    if brain is not None and (brain.ndim != 2 or brain.shape[1] != model.d_k):
+        raise ShapeError(f"brain tokens must be (K, d_k={model.d_k}), got {brain.shape}")
+    k = brain.shape[0] if brain is not None else 0
     if k + prompt_ids.size > model.max_len:
         raise LengthError(f"sequence length {k + prompt_ids.size} exceeds "
                           f"context cap {model.max_len}")
     f = model.frozen
     tok = embedding_with_pos(model, prompt_ids)
     if brain is not None:
-        if brain.width != model.d_k:
-            raise ShapeError(f"brain token width {brain.width} != d_k {model.d_k}")
-        z = brain.z
         if model.brain_pos is not None:
             if model.brain_pos.shape[0] != k:
                 raise ShapeError("brain position offsets do not match token count")
-            z = z + model.brain_pos
-        x = tt.concat([z, tok], axis=0)
+            brain = brain + model.brain_pos
+        x = tt.concat([brain, tok], axis=0)
     else:
         x = tok
     for i in range(model.block_count):
@@ -339,4 +325,4 @@ def classify(logits) -> tuple[str, float]:
     shifted = arr - arr.max()
     probs = np.exp(shifted) / np.exp(shifted).sum()
     idx = 0 if arr[0] > arr[1] else 1
-    return CLASS_NAMES[idx], float(probs[idx])
+    return LABELS[idx], float(probs[idx])

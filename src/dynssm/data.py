@@ -10,6 +10,7 @@ from the dataset seed via the counter-based generator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -41,7 +42,6 @@ class RoiTimeSeries:
 class DatasetSplit:
     train: list
     test: list
-    seed: int
 
 
 @dataclass
@@ -61,8 +61,10 @@ class SynthSpec:
     def validate(self) -> None:
         if self.n_rois < 2 or self.length < 2 or self.subjects_per_class < 1:
             raise ConfigError("n_rois >= 2, length >= 2, subjects_per_class >= 1 required")
-        if self.switch_rate < 0:
-            raise ConfigError(f"switch_rate must be >= 0, got {self.switch_rate}")
+        for key in ("switch_rate", "noise_std"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:   # NaN fails too
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if set(self.class_templates) != set(LABELS):
             raise ConfigError(f"templates must cover classes {LABELS}")
         for label, templates in self.class_templates.items():
@@ -101,11 +103,13 @@ def load_roi_csv(path, subject_id: Optional[str] = None) -> RoiTimeSeries:
                          line=1)
     rows = lines[1:]
     try:
-        # numpy converts a str with float()'s rules; one call for all fields
-        if any(ln.count(",") != n - 1 for ln in rows):
+        if not rows:   # loadtxt would warn that there is no data
+            raise ValueError("no rows")
+        values = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        if values.shape != (len(rows), n):
             raise ValueError("field count")
-        values = np.array(",".join(rows).split(","), dtype=np.float64).reshape(len(rows), n)
     except ValueError:
+        # float()'s rules (loadtxt rejects "1_0") and the first bad line's error
         values = _parse_rows(path, rows, n)
     if n < 2:
         raise ContentError(f"{path}: need at least 2 ROI columns, got {n}")
@@ -173,7 +177,7 @@ def split_dataset(subjects: list, train_fraction: float, seed: int) -> DatasetSp
         n_train = min(max(n_train, 1), len(group) - 1)
         train.extend(shuffled[:n_train])
         test.extend(shuffled[n_train:])
-    return DatasetSplit(train=train, test=test, seed=seed)
+    return DatasetSplit(train=train, test=test)
 
 
 def _project_pd(template: np.ndarray, floor: float = 1e-8) -> np.ndarray:

@@ -205,7 +205,7 @@ def _check_compress(seed: int):
     cp = al.CompressParams.create(rng, d_h=6, d_k=5, k_tokens=3)
     states = Tensor(rng.normal((7, 6)), requires_grad=True)
     def fn(ps):
-        return _weighted_sum(al.compress_tokens(ps[0], cp).z, seed)
+        return _weighted_sum(al.compress_tokens(ps[0], cp), seed)
     return finite_diff_check(fn, [states, cp.queries, cp.proj_w, cp.proj_b])
 
 
@@ -299,14 +299,14 @@ def _check_surrogate(seed: int):
         return m, z
     def runner(s):
         m, z = build(s)
-        return lambda: al.surrogate_forward(al.BrainTokens(z=z), [1, 2, 3], m)
+        return lambda: al.surrogate_forward(z, [1, 2, 3], m)
     s = _off_kink_seed(seed, runner)
     m, z = build(s)
     targets = [z, m.head_w, m.head_b]
     for ad in m.adapters.values():
         targets.extend([ad.a, ad.b])
     def fn(ps):
-        out = al.surrogate_forward(al.BrainTokens(z=z), [1, 2, 3], m)
+        out = al.surrogate_forward(z, [1, 2, 3], m)
         return _weighted_sum(out, s)
     return finite_diff_check(fn, targets)
 

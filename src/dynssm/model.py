@@ -216,7 +216,7 @@ class BrainSequenceClassifier:
         elif cfg.align == "random":
             if rng is None:
                 rng = CounterRng(0xBAD)
-            brain = al.BrainTokens(z=Tensor(rng.normal((cfg.k_tokens, cfg.d_k))))
+            brain = Tensor(rng.normal((cfg.k_tokens, cfg.d_k)))
         return al.surrogate_forward(brain, self.prompt_ids, self.surrogate,
                                     training=training, rng=rng)
 

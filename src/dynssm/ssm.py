@@ -46,12 +46,6 @@ class SsmParams:
     blocks: list
     w_out: Tensor       # (d_h, d_h) final state readout
     b_out: Tensor
-    d_h: int
-    d_in: int
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     @classmethod
     def create(cls, rng: CounterRng, d_in: int, d_h: int = 64,
@@ -72,7 +66,7 @@ class SsmParams:
                 b_mix=None if last else Tensor(np.zeros(d_in), requires_grad=True),
             ))
         return cls(blocks=blocks, w_out=tt.init_weight(rng, (d_h, d_h), d_h),
-                   b_out=Tensor(np.zeros(d_h), requires_grad=True), d_h=d_h, d_in=d_in)
+                   b_out=Tensor(np.zeros(d_h), requires_grad=True))
 
     def named_params(self, prefix: str = "ssm") -> dict[str, Tensor]:
         out = {}

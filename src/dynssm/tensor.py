@@ -27,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -83,7 +82,7 @@ def active_tape() -> Optional["Tape"]:
 class Tensor:
     """A dense multi-dimensional array that can participate in gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape_ref", "__weakref__")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -91,9 +90,6 @@ class Tensor:
             raise NumericsError("tensor data contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
-        self.node_id: Optional[int] = None
-        self._tape_ref = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -103,9 +99,6 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = arr
         t.requires_grad = False
-        t.grad = None
-        t.node_id = None
-        t._tape_ref = None
         return t
 
     @property
@@ -237,8 +230,6 @@ class Tape:
             if p.requires_grad and id(p) not in self._produced:
                 self._leaves.setdefault(id(p), p)
         out.requires_grad = True
-        out.node_id = len(self.nodes)
-        out._tape_ref = weakref.ref(self)
         self._produced.add(id(out))
         self.nodes.append(_Node(out, parents, vjp))
 
@@ -246,11 +237,14 @@ class Tape:
         """Reverse-sweep the tape from ``loss`` and return gradients per leaf.
 
         Parameters listed in ``params`` but absent from the path receive zero
-        gradients. Two calls on the same tape give bit-identical results.
+        gradients. Two calls on the same tape give bit-identical results. The
+        loss must be an output recorded on this tape; a leaf or another tape's
+        output is a ContractError. The tape holds every output it recorded, so
+        no other live tensor can share one of their ids.
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-        if loss.node_id is None or loss._tape_ref is None or loss._tape_ref() is not self:
+        if id(loss) not in self._produced:
             raise ContractError("loss is not recorded on this tape")
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -268,21 +262,12 @@ class Tape:
         result: GradientMap = {}
         for t in self._leaves.values():
             g = grads.get(id(t))
-            t.grad = g if g is not None else np.zeros_like(t.data)
-            result[t] = t.grad
+            result[t] = g if g is not None else np.zeros_like(t.data)
         if params is not None:
             for t in params:
                 if t not in result:
-                    t.grad = np.zeros_like(t.data)
-                    result[t] = t.grad
+                    result[t] = np.zeros_like(t.data)
         return result
-
-
-def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> GradientMap:
-    """Backward through the tape that recorded ``loss``."""
-    if loss._tape_ref is None or loss._tape_ref() is None:
-        raise ContractError("loss is not recorded on any tape")
-    return loss._tape_ref().backward(loss, params)
 
 
 def per_tape(owner, build: Callable[[], object]):
@@ -1051,26 +1036,24 @@ def selective_scan(a_seq: Tensor, b_seq: Tensor, chunk: Optional[int] = None) ->
 
 # --- verification oracle ---
 
+# Central differences at 64-bit carry ~|f|*ulp/_FD_STEP of roundoff, so a
+# coordinate whose analytic/numeric gap is under _FD_ATOL (well above that
+# noise, far below any real gradient-rule error) counts as agreeing; otherwise
+# mathematically-zero gradients would read as failures.
+_FD_STEP = 1e-5
+_FD_ATOL = 1e-9
+
+
 def finite_diff_check(fn: Callable[[Sequence[Tensor]], Tensor],
-                      params: Sequence[Tensor],
-                      eps: float = 1e-5,
-                      coord_limit: Optional[int] = None,
-                      atol: float = 1e-9) -> float:
+                      params: Sequence[Tensor]) -> float:
     """Compare analytic gradients of ``fn(params)`` against central differences.
 
-    Returns the max relative error over parameter coordinates, where the
-    relative error denominator is max(|analytic|, |numeric|, 1e-8). Raises
-    OracleError if two evaluations of ``fn`` disagree (non-determinism).
-    ``coord_limit`` caps the number of probed coordinates per parameter
-    (evenly strided); None probes every coordinate.
-
-    Central differences at 64-bit carry ~|f|*ulp/eps of roundoff, so
-    coordinates whose analytic/numeric gap is under ``atol`` (default well
-    above that noise, far below any real gradient-rule error) count as
-    agreeing; otherwise mathematically-zero gradients would read as failures.
+    Every coordinate of every parameter is probed with a step of ``_FD_STEP``.
+    Returns the max relative error over those coordinates, where the relative
+    error denominator is max(|analytic|, |numeric|, 1e-8) and a gap under
+    ``_FD_ATOL`` counts as zero. Raises OracleError if two evaluations of
+    ``fn`` disagree (non-determinism).
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
     v1 = fn(params).item()
     v2 = fn(params).item()
     if v1 != v2:
@@ -1086,21 +1069,16 @@ def finite_diff_check(fn: Callable[[Sequence[Tensor]], Tensor],
     for p in params:
         analytic = grads[p].reshape(-1)
         flat = p.data.reshape(-1)
-        n = flat.size
-        if coord_limit is not None and n > coord_limit:
-            idxs = np.linspace(0, n - 1, coord_limit).astype(int)
-        else:
-            idxs = range(n)
-        for i in idxs:
+        for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + _FD_STEP
             fp = fn(params).item()
-            flat[i] = orig - eps
+            flat[i] = orig - _FD_STEP
             fm = fn(params).item()
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
+            numeric = (fp - fm) / (2.0 * _FD_STEP)
             gap = abs(analytic[i] - numeric)
-            if gap < atol:
+            if gap < _FD_ATOL:
                 continue
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)
             worst = max(worst, gap / denom)

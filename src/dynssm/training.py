@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as tt
 from .align import classify
 from .config import ALIGN_MODES, BACKBONES, ModelConfig, TrainConfig
-from .data import DatasetSplit, normalize_zscore
+from .data import LABELS, DatasetSplit, normalize_zscore
 from .errors import ConfigError, EvaluationError, NumericsError
 from .model import BrainSequenceClassifier, variant_config
 from .rng import CounterRng
@@ -21,7 +21,8 @@ VARIANTS = ("full", "static_graph", "frozen_llm",
             *(f"backbone:{name}" for name in BACKBONES),
             *(f"align:{mode}" for mode in ALIGN_MODES))
 
-_LABEL_INDEX = {"ASD": 0, "TC": 1}
+_LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}   # logit order
+_EVAL_SEED = 0x9E   # subject i's evaluation forward draws from child i (align:random)
 
 
 @dataclass
@@ -88,10 +89,6 @@ class Adam:
             t.data = t.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _prepare(subjects: list) -> list:
-    return [normalize_zscore(s) for s in subjects]
-
-
 def _batch_gradients(model: BrainSequenceClassifier, batch: list,
                      params: dict[str, Tensor], rng: CounterRng) -> tuple[dict, float]:
     """Mean loss over the batch and its gradients w.r.t. ``params``."""
@@ -109,7 +106,7 @@ def _batch_gradients(model: BrainSequenceClassifier, batch: list,
 
 
 def evaluate(model: BrainSequenceClassifier, subjects: list,
-             normalized: bool = False, eval_seed: int = 0x9E) -> Metrics:
+             normalized: bool = False) -> Metrics:
     """Deterministic inference pass -> confusion counts and derived metrics.
 
     Unless ``normalized``, each subject is z-scored just before its own
@@ -124,17 +121,18 @@ def evaluate(model: BrainSequenceClassifier, subjects: list,
         raise EvaluationError(f"subject {unusable.subject_id} has no usable label: "
                               f"{unusable.label!r}")
     tp = fp = fn = tn = 0
-    base = CounterRng(eval_seed)
+    base = CounterRng(_EVAL_SEED)
     for i, subject in enumerate(subjects):
         values = (subject if normalized else normalize_zscore(subject)).values
         logits = model.forward(values, training=False, rng=base.child(i))
         label, _ = classify(logits)
-        if subject.label == "ASD":
-            tp += label == "ASD"
-            fn += label != "ASD"
+        predicted = label == LABELS[0]
+        if subject.label == LABELS[0]:
+            tp += predicted
+            fn += not predicted
         else:
-            tn += label == "TC"
-            fp += label != "TC"
+            fp += predicted
+            tn += not predicted
     return Metrics.from_counts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -158,7 +156,7 @@ def train_model(model: BrainSequenceClassifier, train_subjects: list,
     """
     cfg.validate()
     rng = CounterRng(cfg.seed)
-    train_subjects = _prepare(train_subjects)
+    train_subjects = [normalize_zscore(s) for s in train_subjects]
     order_rng = rng.child(0x0D)
     shuffled = order_rng.shuffle(sorted(train_subjects, key=lambda s: s.subject_id))
     n_val = max(1, int(round(cfg.val_fraction * len(shuffled)))) if len(shuffled) > 3 else 0

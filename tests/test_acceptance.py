@@ -17,7 +17,7 @@ from dynssm import data as D
 from dynssm import graph as gr
 from dynssm import ssm as sm
 from dynssm import training as TR
-from dynssm.align import BrainTokens, SurrogateModel, surrogate_forward
+from dynssm.align import SurrogateModel, surrogate_forward
 from dynssm.cli import main as cli_main
 from dynssm.gradcheck import run_gradcheck
 from dynssm.model import BrainSequenceClassifier, ModelConfig
@@ -122,7 +122,7 @@ class TestCriterion5LoraContracts:
         bare = SurrogateModel.create(seed=5, d_k=32, heads=4, vocab=16,
                                      block_count=2, max_len=16, rank=4, alpha=8.0)
         bare.adapters = {}
-        z = BrainTokens(z=Tensor(CounterRng(1).normal((3, 32))))
+        z = Tensor(CounterRng(1).normal((3, 32)))
         diff = np.max(np.abs(surrogate_forward(z, [1, 2, 3], adapted).data -
                              surrogate_forward(z, [1, 2, 3], bare).data))
 

@@ -27,13 +27,13 @@ class TestCompressTokens:
         cp.proj_b.data = np.zeros(6)
         s = CounterRng(1).normal((9, 6))
         z = al.compress_tokens(Tensor(s), cp, uniform_attention=True)
-        assert np.allclose(z.z.data[0], s.mean(axis=0), atol=1e-12)
+        assert np.allclose(z.data[0], s.mean(axis=0), atol=1e-12)
 
     def test_single_state_collapses_softmax(self):
         rng = CounterRng(2)
         cp = al.CompressParams.create(rng, d_h=5, d_k=4, k_tokens=3)
         s = CounterRng(3).normal((1, 5))
-        z = al.compress_tokens(Tensor(s), cp).z.data
+        z = al.compress_tokens(Tensor(s), cp).data
         expect = s[0] @ cp.proj_w.data.T + cp.proj_b.data
         for k in range(3):
             assert np.allclose(z[k], expect, atol=1e-12)
@@ -42,7 +42,7 @@ class TestCompressTokens:
         rng = CounterRng(4)
         cp = al.CompressParams.create(rng, d_h=12, d_k=7, k_tokens=4)
         s = CounterRng(5).normal((11, 12))
-        z = al.compress_tokens(Tensor(s), cp).z.data
+        z = al.compress_tokens(Tensor(s), cp).data
         scores = cp.queries.data @ s.T / math.sqrt(12)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
@@ -53,16 +53,16 @@ class TestCompressTokens:
         cp = al.CompressParams.create(CounterRng(6), d_h=5, d_k=8, k_tokens=2)
         for T in (1, 4, 50):
             z = al.compress_tokens(Tensor(CounterRng(T).normal((T, 5))), cp)
-            assert z.z.shape == (2, 8)
+            assert z.shape == (2, 8)
 
     def test_masked_padding_invariance(self):
         cp = al.CompressParams.create(CounterRng(7), d_h=5, d_k=4, k_tokens=2)
         s = CounterRng(8).normal((6, 5))
-        base = al.compress_tokens(Tensor(s), cp).z.data
+        base = al.compress_tokens(Tensor(s), cp).data
         padded = np.concatenate([s, CounterRng(9).normal((3, 5))], axis=0)
         mask = np.zeros((2, 9))
         mask[:, 6:] = -1e30
-        out = al.compress_tokens(Tensor(padded), cp, score_mask=mask).z.data
+        out = al.compress_tokens(Tensor(padded), cp, score_mask=mask).data
         assert np.allclose(base, out, atol=1e-12)
 
     def test_non_finite_mask_rejected(self):
@@ -191,7 +191,7 @@ class TestLoraAdapter:
 class TestSurrogate:
     def test_deterministic_forward(self):
         m = make_surrogate()
-        z = al.BrainTokens(z=Tensor(CounterRng(1).normal((3, 32))))
+        z = Tensor(CounterRng(1).normal((3, 32)))
         l1 = al.surrogate_forward(z, [1, 2, 3], m).data
         l2 = al.surrogate_forward(z, [1, 2, 3], m).data
         assert np.array_equal(l1, l2)
@@ -200,7 +200,7 @@ class TestSurrogate:
         m = make_surrogate()
         bare = make_surrogate()
         bare.adapters = {}
-        z = al.BrainTokens(z=Tensor(CounterRng(2).normal((4, 32))))
+        z = Tensor(CounterRng(2).normal((4, 32)))
         adapted = al.surrogate_forward(z, [1, 4, 2], m).data
         frozen = al.surrogate_forward(z, [1, 4, 2], bare).data
         assert np.max(np.abs(adapted - frozen)) <= 1e-15
@@ -208,24 +208,29 @@ class TestSurrogate:
     def test_brain_token_permutation_invariance(self):
         m = make_surrogate()
         z = CounterRng(3).normal((5, 32))
-        base = al.surrogate_forward(al.BrainTokens(z=Tensor(z)), [1, 2], m).data
-        perm = al.surrogate_forward(al.BrainTokens(z=Tensor(z[[3, 0, 4, 1, 2]])),
-                                    [1, 2], m).data
+        base = al.surrogate_forward(Tensor(z), [1, 2], m).data
+        perm = al.surrogate_forward(Tensor(z[[3, 0, 4, 1, 2]]), [1, 2], m).data
         assert np.allclose(base, perm, atol=1e-12)
 
     def test_position_offsets_break_invariance_when_enabled(self):
         m = make_surrogate(k_tokens_for_pos=3)
         m.brain_pos.data = CounterRng(4).normal((3, 32))
         z = CounterRng(5).normal((3, 32))
-        base = al.surrogate_forward(al.BrainTokens(z=Tensor(z)), [1, 2], m).data
-        perm = al.surrogate_forward(al.BrainTokens(z=Tensor(z[[2, 0, 1]])), [1, 2], m).data
+        base = al.surrogate_forward(Tensor(z), [1, 2], m).data
+        perm = al.surrogate_forward(Tensor(z[[2, 0, 1]]), [1, 2], m).data
         assert not np.allclose(base, perm, atol=1e-9)
 
     def test_context_cap_enforced(self):
         m = make_surrogate(max_len=6)
-        z = al.BrainTokens(z=Tensor(np.zeros((4, 32))))
+        z = Tensor(np.zeros((4, 32)))
         with pytest.raises(LengthError):
             al.surrogate_forward(z, [1, 2, 3], m)
+
+    @pytest.mark.parametrize("shape", [(32,), (3, 16), (3, 32, 1)])
+    def test_brain_tokens_must_be_k_by_d_k(self, shape):
+        m = make_surrogate()
+        with pytest.raises(ShapeError, match="d_k=32"):
+            al.surrogate_forward(Tensor(np.zeros(shape)), [1, 2], m)
 
     def test_prompt_ids_validated(self):
         m = make_surrogate()
@@ -242,7 +247,7 @@ class TestSurrogate:
         m = make_surrogate()
         z = Tensor(CounterRng(6).normal((2, 32)), requires_grad=True)
         with Tape() as tape:
-            logits = al.surrogate_forward(al.BrainTokens(z=z), [1, 2], m, training=False)
+            logits = al.surrogate_forward(z, [1, 2], m, training=False)
             grads = tape.backward(tt.tsum(logits))
         assert m.head_w in grads
         assert any(ad.a in grads or ad.b in grads for ad in m.adapters.values())

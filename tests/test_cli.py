@@ -228,6 +228,17 @@ class TestExitCodes:
         assert not out.exists()
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["data.noise_std=-1", "data.noise_std=Infinity",
+                                          "data.switch_rate=NaN", "data.switch_rate=-0.5"])
+    def test_bad_synthetic_rate_is_config_error_before_any_file(self, tmp_path, capsys,
+                                                                override):
+        out = tmp_path / "r"
+        assert run_cli("train", "--out", str(out), "--epochs", "1", "--quiet",
+                       "--set", override, "--set", "data.subjects_per_class=3",
+                       "--set", "data.length=24") == 1
+        assert not out.exists()
+        assert override.split("=")[0].split(".")[1] in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["d_k", "conv_features", "kernel_size", "k_tokens"])
     def test_zero_model_size_is_config_error_before_any_file(self, tmp_path, capsys, key):
         out = tmp_path / "r"

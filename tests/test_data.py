@@ -1,5 +1,7 @@
 """Ingestion, normalization, splitting, and the synthetic generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,41 @@ class TestLoadRoiCsv:
         path.write_text("roi_0\n1\n2\n3\n")
         with pytest.raises(ContentError):
             D.load_roi_csv(path)
+
+    def test_ragged_row_among_full_rows_names_its_line(self, tmp_path):
+        path = tmp_path / "r4.csv"
+        path.write_text("roi_0,roi_1\n1,2\n3,4\n5,6,7\n8,9\n")
+        with pytest.raises(ParseError, match="line 4"):
+            D.load_roi_csv(path)
+
+    def test_hash_inside_a_field_is_parse_error(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("roi_0,roi_1\n1,2\n3,4#5\n6,7\n")
+        with pytest.raises(ParseError, match="line 3"):
+            D.load_roi_csv(path)
+
+    def test_consistent_width_other_than_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("roi_0,roi_1\n1,2,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(ParseError, match="line 2"):
+            D.load_roi_csv(path)
+
+    def test_fields_follow_float_rules(self, tmp_path):
+        fields = ["1_0", " 2.5 ", "-0.0", "4.", ".5", "+7", "1e-300", "6"]
+        path = tmp_path / "f.csv"
+        path.write_text("roi_0,roi_1\n" + "\n".join(
+            f"{a},{b}" for a, b in zip(fields[::2], fields[1::2])) + "\n")
+        values = D.load_roi_csv(path).values
+        expect = np.array([float(v) for v in fields]).reshape(4, 2)
+        assert values.tobytes() == expect.tobytes()
+
+    def test_header_only_warns_nothing(self, tmp_path):
+        path = tmp_path / "h0.csv"
+        path.write_text("roi_0,roi_1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContentError):
+                D.load_roi_csv(path)
 
     def test_write_read_round_trip_bit_identical(self, tmp_path):
         vals = np.random.default_rng(0).normal(size=(13, 7))
@@ -182,6 +219,13 @@ class TestSynthGenerate:
         spec = D.SynthSpec(n_rois=16, length=64, subjects_per_class=2,
                            class_templates=templates, switch_rate=0.0, seed=1)
         assert len(D.synth_generate(spec)) == 4
+
+    @pytest.mark.parametrize("key", ["noise_std", "switch_rate"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_non_negative(self, key, value):
+        spec = D.default_synth_spec(seed=0, subjects_per_class=1, length=16, **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            D.synth_generate(spec)
 
     def test_labels_and_counts(self):
         out = D.synth_generate(D.default_synth_spec(seed=0, subjects_per_class=5, length=32))
