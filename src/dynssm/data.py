@@ -313,7 +313,10 @@ def save_dataset(directory, subjects: list, spec: Optional[SynthSpec] = None) ->
 
 
 def load_dataset(manifest_path) -> list[RoiTimeSeries]:
-    """Load every subject listed in a manifest written by save_dataset."""
+    """Load every subject listed in a manifest written by save_dataset.
+
+    Every subject must have the first subject's ROI count (ContentError).
+    """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -331,6 +334,10 @@ def load_dataset(manifest_path) -> list[RoiTimeSeries]:
         ts = load_roi_csv(manifest_path.parent / entry["path"],
                           subject_id=entry["subject_id"])
         ts.label = entry.get("label")
+        if subjects and ts.n_rois != subjects[0].n_rois:
+            raise ContentError(f"{manifest_path}: subject {ts.subject_id} has {ts.n_rois} "
+                               f"ROIs, but {subjects[0].subject_id} has "
+                               f"{subjects[0].n_rois}")
         subjects.append(ts)
     if not subjects:
         raise ContentError(f"{manifest_path}: manifest lists no subjects")

@@ -290,14 +290,7 @@ class BrainSequenceClassifier:
             raise ConfigError(f"checkpoint changes the frozen surrogate (checksum "
                               f"{self.surrogate.checksum()[:12]}): {changed[:5]}")
         for name, tensor in own.items():
-            tensor.data = np.ascontiguousarray(stored[name])
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.all_named_params().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.all_named_params().items():
-            tensor.data = snap[name].copy()
+            tensor.data[...] = stored[name]   # in place: an optimizer's views stay bound
 
 
 def variant_config(base: ModelConfig, variant: str) -> ModelConfig:

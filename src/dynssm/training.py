@@ -51,42 +51,62 @@ class Metrics:
 
 
 def cross_entropy(logits: Tensor, label) -> Tensor:
-    """Negative log-likelihood of the true class, numerically stabilized."""
-    idx = _LABEL_INDEX[label] if isinstance(label, str) else int(label)
+    """Negative log-likelihood of the true class, numerically stabilized.
+
+    ``label`` is a name in ``LABELS`` or an index into it; anything else is
+    a ConfigError.
+    """
+    idx = _LABEL_INDEX.get(label) if isinstance(label, str) else label
+    if (isinstance(idx, bool) or not isinstance(idx, (int, np.integer))
+            or not 0 <= idx < len(LABELS)):
+        raise ConfigError(f"cannot score label {label!r}: expected one of {LABELS} "
+                          f"or an index below {len(LABELS)}")
     if logits.shape != (2,):
         raise ConfigError(f"cross_entropy expects 2 logits, got shape {logits.shape}")
     return -tt.log_softmax(logits)[idx]
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over one vector that holds every parameter.
+
+    The parameters are concatenated, in the dict's order, into ``flat``, and
+    each Tensor's ``.data`` becomes a view of its slice; ``m`` and ``v`` share
+    that layout. While an ``Adam`` holds the parameters, nothing rebinds
+    their ``.data``: a write goes into it (``data[...] = ...``), or the tensor
+    and the optimizer part ways.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = dict(params)
+        self.names = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        sizes = [t.data.size for t in params.values()]
+        self.ends = np.cumsum(sizes)   # parameter i holds flat[ends[i] - sizes[i]:ends[i]]
+        self.flat = np.concatenate([t.data.ravel() for t in params.values()])
+        for t, end, size in zip(params.values(), self.ends, sizes):
+            t.data = self.flat[end - size:end].reshape(t.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update from a gradient per parameter; a non-finite one changes nothing."""
+        g = np.concatenate([np.ravel(grads[name]) for name in self.names])
+        finite = np.isfinite(g)
+        if not finite.all():
+            name = self.names[np.searchsorted(self.ends, np.argmin(finite), side="right")]
+            raise NumericsError(f"NaN/Inf gradient for parameter {name!r} "
+                                f"at step {self.step_count + 1}")
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for name, t in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"NaN/Inf gradient for parameter {name!r} "
-                                    f"at step {self.step_count}")
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
-            t.data = t.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * (g * g)
+        self.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 def _batch_gradients(model: BrainSequenceClassifier, batch: list,
@@ -105,6 +125,14 @@ def _batch_gradients(model: BrainSequenceClassifier, batch: list,
     return {n: gmap[t] for n, t in zip(names, tensors)}, mean_loss.item()
 
 
+def _require_labels(subjects: list) -> None:
+    """Raise EvaluationError naming the first subject whose label is not ASD or TC."""
+    unusable = next((s for s in subjects if s.label not in _LABEL_INDEX), None)
+    if unusable is not None:
+        raise EvaluationError(f"subject {unusable.subject_id} has no usable label: "
+                              f"{unusable.label!r}")
+
+
 def evaluate(model: BrainSequenceClassifier, subjects: list,
              normalized: bool = False) -> Metrics:
     """Deterministic inference pass -> confusion counts and derived metrics.
@@ -116,10 +144,7 @@ def evaluate(model: BrainSequenceClassifier, subjects: list,
     """
     if not subjects:
         raise EvaluationError("cannot evaluate an empty split")
-    unusable = next((s for s in subjects if s.label not in _LABEL_INDEX), None)
-    if unusable is not None:
-        raise EvaluationError(f"subject {unusable.subject_id} has no usable label: "
-                              f"{unusable.label!r}")
+    _require_labels(subjects)
     tp = fp = fn = tn = 0
     base = CounterRng(_EVAL_SEED)
     for i, subject in enumerate(subjects):
@@ -152,9 +177,11 @@ def train_model(model: BrainSequenceClassifier, train_subjects: list,
     The first ``round(val_fraction * n)`` subjects (at least one) of one
     seeded shuffle are held out to select the checkpoint, with no regard to
     class; with 3 or fewer subjects none are. Per-epoch records go to
-    ``log_cb`` and the returned log.
+    ``log_cb`` and the returned log. A label that is not ASD or TC is
+    rejected before the first step.
     """
     cfg.validate()
+    _require_labels(train_subjects + list(test_subjects or []))
     rng = CounterRng(cfg.seed)
     train_subjects = [normalize_zscore(s) for s in train_subjects]
     order_rng = rng.child(0x0D)
@@ -170,30 +197,23 @@ def train_model(model: BrainSequenceClassifier, train_subjects: list,
     drop_rng = rng.child(0xD0)
 
     log: list[dict] = []
-    best = (-1.0, 0, None)   # (val accuracy, epoch, snapshot)
+    best = (-1.0, 0, None)   # (val accuracy, epoch, copy of opt.flat)
     for epoch in range(1, cfg.epochs + 1):
         epoch_order = order_rng.shuffle(fit_set)
         losses = []
-        micro: list[list] = []
-        cursor = 0
-        while cursor < len(epoch_order):
-            micro.append(epoch_order[cursor:cursor + cfg.batch_size])
-            cursor += cfg.batch_size
         acc_grads: Optional[dict] = None
         acc_count = 0
-        for batch in micro:
+        for start in range(0, len(epoch_order), cfg.batch_size):
+            batch = epoch_order[start:start + cfg.batch_size]
             grads, loss_val = _batch_gradients(model, batch, params, drop_rng)
             losses.append(loss_val)
-            if acc_grads is None:
-                acc_grads = grads
-            else:
-                acc_grads = {n: acc_grads[n] + grads[n] for n in acc_grads}
+            acc_grads = grads if acc_grads is None else {n: acc_grads[n] + grads[n]
+                                                         for n in acc_grads}
             acc_count += 1
-            if acc_count == cfg.accumulation_steps:
+            last = start + cfg.batch_size >= len(epoch_order)
+            if acc_count == cfg.accumulation_steps or last:
                 opt.step({n: g / acc_count for n, g in acc_grads.items()})
                 acc_grads, acc_count = None, 0
-        if acc_count:
-            opt.step({n: g / acc_count for n, g in acc_grads.items()})
 
         records = [{"epoch": epoch, "split": "train", "loss": float(np.mean(losses))}]
         if val_set:
@@ -202,14 +222,15 @@ def train_model(model: BrainSequenceClassifier, train_subjects: list,
                             **vm.as_dict()})
             # ties go to the later epoch: small carve-outs saturate early
             if vm.accuracy >= best[0]:
-                best = (vm.accuracy, epoch, model.snapshot())
+                best = (vm.accuracy, epoch, opt.flat.copy())
         for record in records:
             log.append(record)
             if log_cb:
                 log_cb(record)
 
+    # frozen arrays, and frozen_llm's adapters, never change: only opt.flat goes back
     if best[2] is not None:
-        model.restore(best[2])
+        opt.flat[:] = best[2]
         best_epoch = best[1]
     else:
         best_epoch = cfg.epochs

@@ -209,6 +209,20 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r"), "--quiet") == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_mixed_roi_counts_are_data_error_before_any_file(self, tmp_path, capsys,
+                                                              command):
+        from dynssm.data import default_synth_spec, save_dataset
+        subjects = [s for n_rois in (16, 8) for s in synth_generate(
+            default_synth_spec(seed=n_rois, n_rois=n_rois, subjects_per_class=2, length=16))]
+        for i, s in enumerate(subjects):
+            s.subject_id = f"s{i}"
+        manifest = save_dataset(tmp_path / "data", subjects)
+        out = tmp_path / "r"
+        assert run_cli(command, "--data", str(manifest), "--out", str(out), "--quiet") == 2
+        assert "s4 has 8 ROIs" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [("train", "--lr", "nan"),
                                       ("train", "--set", "train.beta1=NaN"),
                                       ("train", "--set", "train.eps=0"),

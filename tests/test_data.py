@@ -283,6 +283,15 @@ class TestManifest:
         with pytest.raises(ContentError):
             D.load_dataset(path)
 
+    def test_mixed_roi_counts_rejected(self, tmp_path):
+        subjects = [s for n_rois in (16, 8, 16) for s in D.synth_generate(
+            D.default_synth_spec(seed=n_rois, n_rois=n_rois, subjects_per_class=1, length=24))]
+        for i, s in enumerate(subjects):
+            s.subject_id = f"s{i}"
+        manifest = D.save_dataset(tmp_path, subjects)
+        with pytest.raises(ContentError, match="subject s2 has 8 ROIs, but s0 has 16"):
+            D.load_dataset(manifest)
+
     @pytest.mark.parametrize("text", [
         '[{"subject_id": "s0", "path": "s0.csv"}]',       # top level is a list
         '{"subjects": {"subject_id": "s0", "path": "s0.csv"}}',

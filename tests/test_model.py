@@ -13,7 +13,11 @@ from dynssm.errors import ConfigError
 from dynssm.model import BrainSequenceClassifier, ModelConfig
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tensor
-from dynssm.training import cross_entropy
+from dynssm.training import Adam, cross_entropy
+
+
+def param_copies(model) -> dict:
+    return {name: t.data.copy() for name, t in model.all_named_params().items()}
 
 
 class TestModelConfig:
@@ -102,10 +106,10 @@ class TestPersistence:
         path = tmp_path / "desk.dyns"
         BrainSequenceClassifier(ModelConfig.desk(n_rois=8)).save(path)
         bare = BrainSequenceClassifier(ModelConfig.desk(n_rois=8, align="none"))
-        before = bare.snapshot()
+        before = param_copies(bare)
         with pytest.raises(ConfigError, match="does not own"):
             bare.load(path)
-        assert all(np.array_equal(v, before[k]) for k, v in bare.snapshot().items())
+        assert all(np.array_equal(v, before[k]) for k, v in param_copies(bare).items())
 
     def test_load_rejects_a_changed_surrogate(self, tmp_path):
         from dynssm.checkpoint import load_params, save_params
@@ -163,21 +167,26 @@ class TestPersistence:
         path = tmp_path / "extra.dyns"
         self.save_with_key_bias(path, self.biased_model(), version, extra)
         clone = BrainSequenceClassifier(ModelConfig.desk(n_rois=8, param_seed=99))
-        before = clone.snapshot()
+        before = param_copies(clone)
         with pytest.raises(ConfigError, match=f"does not own.*{extra}"):
             clone.load(path)
-        assert all(np.array_equal(v, before[k]) for k, v in clone.snapshot().items())
+        assert all(np.array_equal(v, before[k]) for k, v in param_copies(clone).items())
 
-    def test_snapshot_restore(self):
-        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=8))
-        x = CounterRng(1).normal((12, 8))
-        base = model.forward(x).data
-        snap = model.snapshot()
-        model.head_w_backup = model.surrogate.head_w.data.copy()
-        model.surrogate.head_w.data = model.surrogate.head_w.data + 1.0
-        assert not np.array_equal(model.forward(x).data, base)
-        model.restore(snap)
-        assert np.array_equal(model.forward(x).data, base)
+    def test_load_keeps_an_optimizers_views(self, tmp_path):
+        path = tmp_path / "m.dyns"
+        source = BrainSequenceClassifier(ModelConfig.desk(n_rois=8))
+        source.save(path)
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=8, param_seed=99))
+        params = model.named_trainable()
+        opt = Adam(params, lr=0.01)
+        loaded = np.concatenate([t.data.ravel() for t in source.named_trainable().values()])
+        assert not np.array_equal(opt.flat, loaded)
+        model.load(path)
+        assert all(np.shares_memory(t.data, opt.flat) for t in params.values())
+        assert np.array_equal(opt.flat, loaded)
+        before = param_copies(model)
+        opt.step({name: np.ones(t.shape) for name, t in params.items()})
+        assert all(not np.array_equal(t.data, before[name]) for name, t in params.items())
 
 
 class TestParamReport:

@@ -38,6 +38,12 @@ class TestCrossEntropy:
         logits = Tensor(np.array([3.0, -1.0]))
         assert TR.cross_entropy(logits, "ASD").item() == TR.cross_entropy(logits, 0).item()
         assert TR.cross_entropy(logits, "TC").item() == TR.cross_entropy(logits, 1).item()
+        assert TR.cross_entropy(logits, np.int64(1)).item() == TR.cross_entropy(logits, 1).item()
+
+    @pytest.mark.parametrize("label", [-1, 2, "asd", None, True, 1.0])
+    def test_unscorable_label_rejected(self, label):
+        with pytest.raises(ConfigError, match=f"label {label!r}"):
+            TR.cross_entropy(Tensor(np.array([2.0, -1.0])), label)
 
 
 class TestAdam:
@@ -63,6 +69,30 @@ class TestAdam:
         opt = TR.Adam({"w": w})
         with pytest.raises(NumericsError, match="'w'"):
             opt.step({"w": np.array([np.nan])})
+
+    def test_nonfinite_gradient_leaves_the_step_undone(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        c = Tensor(np.array([4.0]), requires_grad=True)
+        opt = TR.Adam({"a": a, "b": b, "c": c}, lr=0.1)
+        opt.step({"a": np.array([1.0]), "b": np.array([0.5, -0.5]), "c": np.array([2.0])})
+        before = [t.data.copy() for t in (a, b, c)] + [opt.m.copy(), opt.v.copy()]
+        with pytest.raises(NumericsError, match="'b' at step 2"):
+            opt.step({"a": np.array([1.0]), "b": np.array([0.5, np.nan]),
+                      "c": np.array([np.inf])})
+        after = [t.data for t in (a, b, c)] + [opt.m, opt.v]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert opt.step_count == 1
+
+    def test_parameters_are_views_of_one_vector(self):
+        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        u = Tensor(np.array([6.0]), requires_grad=True)
+        opt = TR.Adam({"w": w, "u": u}, lr=0.1)
+        assert np.array_equal(opt.flat, np.arange(7.0))
+        assert w.shape == (2, 3) and np.shares_memory(w.data, opt.flat)
+        opt.step({"w": np.ones((2, 3)), "u": -np.ones(1)})
+        assert np.array_equal(opt.flat, np.concatenate([w.data.ravel(), u.data]))
+        assert np.allclose(w.data, np.arange(6.0).reshape(2, 3) - 0.1) and u.data[0] > 6.0
 
     def test_accumulation_equals_union_batch(self):
         # Adam update from 4 averaged micro-batch gradients == update from
@@ -276,6 +306,38 @@ class TestTrainLoop:
             with pytest.raises(ConfigError):
                 TR.TrainConfig(**bad).validate()
         TR.TrainConfig(beta1=0.0, beta2=0.0, val_fraction=0.0).validate()
+
+    def test_ends_on_the_best_validation_epochs_parameters(self):
+        # Validation accuracy reads 1, 1, 1, 0, 0: the tie goes to epoch 3, not the last.
+        spec = D.default_synth_spec(seed=5, subjects_per_class=5, length=32)
+        split = D.split_dataset(D.synth_generate(spec), 0.8, seed=5)
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        copies, accuracy = {}, {}
+
+        def log_cb(record):
+            if record["split"] == "val":
+                copies[record["epoch"]] = {n: t.data.copy()
+                                           for n, t in model.named_trainable().items()}
+                accuracy[record["epoch"]] = record["accuracy"]
+
+        cfg = TR.TrainConfig(learning_rate=2e-3, epochs=5, batch_size=4, seed=5)
+        result = TR.train_model(model, split.train, cfg, log_cb=log_cb)
+        tied = [e for e, acc in accuracy.items() if acc == max(accuracy.values())]
+        assert len(tied) > 1 and result.best_epoch == tied[-1] < cfg.epochs
+        best, last = copies[result.best_epoch], copies[cfg.epochs]
+        assert any(not np.array_equal(best[n], last[n]) for n in best)
+        for name, t in model.named_trainable().items():
+            assert t.data.tobytes() == best[name].tobytes(), name
+
+    @pytest.mark.parametrize("label", [None, "asd", 0])
+    def test_unusable_label_rejected_before_the_first_step(self, monkeypatch, label):
+        split = self._tiny_split()
+        bad = split.train[3]
+        split.train[3] = D.RoiTimeSeries(bad.subject_id, bad.values, label)
+        monkeypatch.setattr(TR, "_batch_gradients", lambda *a: pytest.fail("a step ran"))
+        model = BrainSequenceClassifier(ModelConfig.desk(n_rois=16))
+        with pytest.raises(EvaluationError, match=f"{bad.subject_id}.*{label!r}"):
+            TR.train_model(model, split.train, TR.TrainConfig(epochs=1, seed=0))
 
     def test_accumulation_steps_run(self):
         split = self._tiny_split()
