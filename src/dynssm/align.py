@@ -225,21 +225,16 @@ class SurrogateModel:
                    adapters=adapters, head_w=head_w, head_b=head_b, brain_pos=brain_pos,
                    block_count=block_count)
 
-    def trainable_params(self, include_adapters: bool = True) -> dict[str, Tensor]:
+    def named_params(self) -> dict[str, Tensor]:
+        """Head, brain offsets, adapters, then every frozen array: the checkpoint order."""
         out = {"head.w": self.head_w, "head.b": self.head_b}
         if self.brain_pos is not None:
             out["brain_pos"] = self.brain_pos
-        if include_adapters:
-            for name, ad in self.adapters.items():
-                out[f"lora.{name}.A"] = ad.a
-                out[f"lora.{name}.B"] = ad.b
+        for name, ad in self.adapters.items():
+            out[f"lora.{name}.A"] = ad.a
+            out[f"lora.{name}.B"] = ad.b
+        out.update({f"surrogate.{k}": v for k, v in self.frozen.items()})
         return out
-
-    def frozen_param_count(self) -> int:
-        return sum(t.data.size for t in self.frozen.values())
-
-    def adapter_param_count(self) -> int:
-        return sum(ad.a.data.size + ad.b.data.size for ad in self.adapters.values())
 
     def checksum(self) -> str:
         """SHA-256 over every frozen array, in name order."""

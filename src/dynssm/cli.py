@@ -212,10 +212,23 @@ def _synth_split(cfg: dict, null: bool = False):
     return spec, subjects, split_dataset(subjects, d["train_fraction"], seed=cfg["seed"])
 
 
-def _load_split(cfg: dict, manifest_path):
+def _split(cfg: dict, manifest):
+    """The split a command runs on: the manifest's subjects if given, else synthetic ones."""
+    if not manifest:
+        return _synth_split(cfg)[2]
     from .data import load_dataset, split_dataset
-    subjects = load_dataset(manifest_path)
-    return split_dataset(subjects, cfg["data"]["train_fraction"], seed=cfg["seed"])
+    return split_dataset(load_dataset(manifest), cfg["data"]["train_fraction"], seed=cfg["seed"])
+
+
+def _require_kernel_length(subjects: list, model_cfgs) -> None:
+    """ContentError naming the first subject shorter than a brain-path model's conv kernel."""
+    for model_cfg in model_cfgs:
+        if not model_cfg.uses_brain:
+            continue
+        short = next((s for s in subjects if s.length < model_cfg.kernel_size), None)
+        if short is not None:
+            raise ContentError(f"subject {short.subject_id} has {short.length} time points, "
+                               f"fewer than kernel_size={model_cfg.kernel_size}")
 
 
 def cmd_generate_data(args) -> int:
@@ -236,14 +249,11 @@ def cmd_train(args) -> int:
     from .training import train_model, write_jsonl
 
     train_cfg = build_train_config(cfg)
-    train_cfg.validate()   # fail on bad config before touching the filesystem
-    if args.data:
-        split = _load_split(cfg, args.data)
-    else:
-        _, _, split = _synth_split(cfg)
-    n_rois = split.train[0].n_rois
-    model_cfg = variant_config(build_model_config(cfg, n_rois), cfg["variant"])
+    train_cfg.validate()   # fail on bad config or data before touching the filesystem
+    split = _split(cfg, args.data)
+    model_cfg = variant_config(build_model_config(cfg, split.train[0].n_rois), cfg["variant"])
     model_cfg.validate()
+    _require_kernel_length(split.train + split.test, [model_cfg])
 
     out_dir = _run_dir(args, cfg)
     _write_resolved(cfg, out_dir)
@@ -282,14 +292,10 @@ def cmd_evaluate(args) -> int:
     from .model import BrainSequenceClassifier, variant_config
     from .training import evaluate
 
-    if args.data:
-        split = _load_split(cfg, args.data)
-        subjects = split.test
-    else:
-        _, _, split = _synth_split(cfg)
-        subjects = split.test
+    subjects = _split(cfg, args.data).test
     n_rois = subjects[0].n_rois
     model_cfg = variant_config(build_model_config(cfg, n_rois), cfg["variant"])
+    _require_kernel_length(subjects, [model_cfg])
     model = BrainSequenceClassifier(model_cfg)
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "checkpoints" / "final.dyns"
     model.load(ckpt)
@@ -313,15 +319,14 @@ def cmd_ablate(args) -> int:
     from .training import ablation_summary_csv, run_variant, write_jsonl
 
     train_cfg = build_train_config(cfg)
-    train_cfg.validate()   # fail on bad config before touching the filesystem
-    if args.data:
-        split = _load_split(cfg, args.data)
-    else:
-        _, _, split = _synth_split(cfg)
+    train_cfg.validate()   # fail on bad config or data before touching the filesystem
+    split = _split(cfg, args.data)
     base_model_cfg = build_model_config(cfg, split.train[0].n_rois)
     base_model_cfg.validate()
-    for variant in variants:   # a variant can change the backbone or the alignment
-        variant_config(base_model_cfg, variant).validate()
+    variant_cfgs = [variant_config(base_model_cfg, v) for v in variants]
+    for variant_cfg in variant_cfgs:   # a variant can change the backbone or the alignment
+        variant_cfg.validate()
+    _require_kernel_length(split.train + split.test, variant_cfgs)
     out_dir = _run_dir(args, cfg)
     _write_resolved(cfg, out_dir)
 

@@ -73,6 +73,11 @@ class ModelConfig:
     frozen_seed: int = 20_240_001   # fixed: "frozen" must be reproducible
     param_seed: int = 7
 
+    @property
+    def uses_brain(self) -> bool:
+        """Whether the model reads the recording: the graph, temporal and token stages."""
+        return self.align in ("tokens", "meanpool")
+
     def validate(self) -> None:
         """Every constraint that the configuration alone decides.
 

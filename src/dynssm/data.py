@@ -90,18 +90,17 @@ class SynthSpec:
 def load_roi_csv(path, subject_id: Optional[str] = None) -> RoiTimeSeries:
     """Parse a time-major ROI CSV with a roi_0..roi_{N-1} header."""
     path = Path(path)
-    with open(path, "r") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    lines = [ln for ln in lines if ln != ""]
-    if not lines:
+    with open(path, "r") as f:   # blank lines are skipped; each kept line keeps its number
+        numbered = [(i, ln.rstrip("\n")) for i, ln in enumerate(f, start=1) if ln != "\n"]
+    if not numbered:
         raise ParseError(f"{path}: empty file", line=1)
-    header = lines[0].split(",")
+    header_line, header = numbered[0][0], numbered[0][1].split(",")
     n = len(header)
     expected = [f"roi_{i}" for i in range(n)]
     if header != expected:
         raise ParseError(f"{path}: header {header[:3]}... does not match roi_0..roi_{n-1}",
-                         line=1)
-    rows = lines[1:]
+                         line=header_line)
+    rows = [ln for _, ln in numbered[1:]]
     try:
         if not rows:   # loadtxt would warn that there is no data
             raise ValueError("no rows")
@@ -110,7 +109,7 @@ def load_roi_csv(path, subject_id: Optional[str] = None) -> RoiTimeSeries:
             raise ValueError("field count")
     except ValueError:
         # float()'s rules (loadtxt rejects "1_0") and the first bad line's error
-        values = _parse_rows(path, rows, n)
+        values = _parse_rows(path, numbered[1:], n)
     if n < 2:
         raise ContentError(f"{path}: need at least 2 ROI columns, got {n}")
     if len(rows) < 3:
@@ -121,9 +120,9 @@ def load_roi_csv(path, subject_id: Optional[str] = None) -> RoiTimeSeries:
 
 
 def _parse_rows(path: Path, rows: list, n: int) -> np.ndarray:
-    """Line-by-line parse; raises the first bad line's ParseError."""
+    """Parse (line number, line) pairs one by one; raises the first bad line's ParseError."""
     parsed = []
-    for lineno, ln in enumerate(rows, start=2):
+    for lineno, ln in rows:
         fields = ln.split(",")
         if len(fields) != n:
             raise ParseError(f"{path}: expected {n} fields, got {len(fields)}", line=lineno)

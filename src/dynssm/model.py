@@ -170,11 +170,10 @@ class BrainSequenceClassifier:
         cfg.validate()
         self.cfg = cfg
         rng = CounterRng(cfg.param_seed)
-        self.uses_brain = cfg.align in ("tokens", "meanpool")
         self.encoder = None
         self.backbone = None
         self.compress = None
-        if self.uses_brain:
+        if cfg.uses_brain:
             self.encoder = gr.NodeEncoderParams.create(
                 rng.child(1), d_lat=cfg.d_lat, conv_features=cfg.conv_features,
                 kernel_size=cfg.kernel_size, heads=cfg.encoder_heads,
@@ -190,6 +189,9 @@ class BrainSequenceClassifier:
             vocab=cfg.vocab, block_count=cfg.surrogate_blocks, max_len=cfg.context_cap,
             rank=cfg.lora_rank, alpha=cfg.lora_alpha, dropout_p=cfg.lora_dropout,
             k_tokens_for_pos=cfg.k_tokens if cfg.brain_pos_offsets else 0)
+        if not cfg.train_adapters:
+            for ad in self.surrogate.adapters.values():
+                ad.a.requires_grad = ad.b.requires_grad = False
         self.prompt_ids = list(range(1, cfg.prompt_len + 1))
 
     # --- forward ---
@@ -198,7 +200,7 @@ class BrainSequenceClassifier:
                 rng: Optional[CounterRng] = None, backend: str = "parallel") -> Tensor:
         cfg = self.cfg
         brain = None
-        if self.uses_brain:
+        if cfg.uses_brain:
             x = Tensor(values)
             seq = gr.encode_sequence(x, self.encoder, mode=cfg.filter_mode)
             if cfg.static_graph:
@@ -222,36 +224,26 @@ class BrainSequenceClassifier:
 
     # --- parameters ---
 
-    def named_trainable(self) -> dict[str, Tensor]:
+    def all_named_params(self) -> dict[str, Tensor]:
+        """Every parameter, in checkpoint order; ``requires_grad`` marks what trains."""
         out: dict[str, Tensor] = {}
-        if self.uses_brain:
+        if self.cfg.uses_brain:
             out.update(self.encoder.named_params("encoder"))
             out.update(self.backbone.named_params("temporal"))
-            if self.cfg.align == "tokens":
-                out.update(self.compress.named_params("compress"))
-            else:
-                out["compress.proj_w"] = self.compress.proj_w
-                out["compress.proj_b"] = self.compress.proj_b
-        out.update(self.surrogate.trainable_params(
-            include_adapters=self.cfg.train_adapters))
+            out.update(self.compress.named_params("compress"))
+            if self.cfg.align == "meanpool":
+                del out["compress.queries"]   # unread; drawn only so later draws stay put
+        out.update(self.surrogate.named_params())
         return out
 
-    def named_frozen(self) -> dict[str, Tensor]:
-        return {f"surrogate.{k}": v for k, v in self.surrogate.frozen.items()}
-
-    def all_named_params(self) -> dict[str, Tensor]:
-        out = dict(self.named_trainable())
-        if not self.cfg.train_adapters:
-            for name, ad in self.surrogate.adapters.items():
-                out[f"lora.{name}.A"] = ad.a
-                out[f"lora.{name}.B"] = ad.b
-        out.update(self.named_frozen())
-        return out
+    def named_trainable(self) -> dict[str, Tensor]:
+        return {n: t for n, t in self.all_named_params().items() if t.requires_grad}
 
     def param_report(self) -> dict:
-        trainable = sum(t.data.size for t in self.named_trainable().values())
-        frozen = self.surrogate.frozen_param_count()
-        adapters = self.surrogate.adapter_param_count()
+        params = self.all_named_params()
+        trainable = sum(t.data.size for t in params.values() if t.requires_grad)
+        frozen = sum(t.data.size for n, t in params.items() if n.startswith("surrogate."))
+        adapters = sum(t.data.size for n, t in params.items() if n.startswith("lora."))
         return {
             "trainable": int(trainable),
             "frozen": int(frozen),
@@ -284,8 +276,8 @@ class BrainSequenceClassifier:
             if stored[name].shape != tensor.data.shape:
                 raise ConfigError(f"checkpoint parameter {name} has shape "
                                   f"{stored[name].shape}, expected {tensor.data.shape}")
-        changed = [name for name, tensor in self.named_frozen().items()
-                   if stored[name].tobytes() != tensor.data.tobytes()]
+        changed = [name for name, tensor in own.items() if name.startswith("surrogate.")
+                   and stored[name].tobytes() != tensor.data.tobytes()]
         if changed:
             raise ConfigError(f"checkpoint changes the frozen surrogate (checksum "
                               f"{self.surrogate.checksum()[:12]}): {changed[:5]}")

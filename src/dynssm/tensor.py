@@ -211,8 +211,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._produced: set[int] = set()
-        self._leaves: dict[int, Tensor] = {}
         self._memo: dict[int, tuple] = {}   # id(owner) -> (owner, value), see ``per_tape``
 
     def __enter__(self) -> "Tape":
@@ -226,25 +224,23 @@ class Tape:
         stack.pop()
 
     def _record(self, out: Tensor, parents: tuple, vjp: Callable) -> None:
-        for p in parents:
-            if p.requires_grad and id(p) not in self._produced:
-                self._leaves.setdefault(id(p), p)
         out.requires_grad = True
-        self._produced.add(id(out))
         self.nodes.append(_Node(out, parents, vjp))
 
-    def backward(self, loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> GradientMap:
-        """Reverse-sweep the tape from ``loss`` and return gradients per leaf.
+    def backward(self, loss: Tensor, params: Iterable[Tensor]) -> GradientMap:
+        """Reverse-sweep the tape from ``loss``; return the gradient of each of ``params``.
 
-        Parameters listed in ``params`` but absent from the path receive zero
-        gradients. Two calls on the same tape give bit-identical results. The
-        loss must be an output recorded on this tape; a leaf or another tape's
-        output is a ContractError. The tape holds every output it recorded, so
-        no other live tensor can share one of their ids.
+        ``params`` are leaves. The result holds one entry for each of them and
+        no other, keyed by the tensor itself, with zeros where the loss does
+        not reach it; that includes every tensor that requires no gradient.
+        Two calls on the same tape give bit-identical results. The loss must
+        be an output recorded on this tape; a leaf or another tape's output
+        is a ContractError. The tape holds every output it recorded, so no
+        other live tensor can share one of their ids.
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._produced:
+        if not any(node.out is loss for node in reversed(self.nodes)):
             raise ContractError("loss is not recorded on this tape")
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -260,13 +256,9 @@ class Tape:
                 grads[id(p)] = pg if acc is None else acc + pg
 
         result: GradientMap = {}
-        for t in self._leaves.values():
+        for t in params:
             g = grads.get(id(t))
             result[t] = g if g is not None else np.zeros_like(t.data)
-        if params is not None:
-            for t in params:
-                if t not in result:
-                    result[t] = np.zeros_like(t.data)
         return result
 
 

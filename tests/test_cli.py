@@ -4,6 +4,7 @@ import argparse
 import filecmp
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,41 @@ class TestExitCodes:
         assert run_cli(command, "--data", str(manifest), "--out", str(out), "--quiet") == 2
         assert "s4 has 8 ROIs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, length, kernel", [
+        (("train", "--set", "data.length=2"), 2, 3),
+        (("train", "--set", "data.length=8", "--set", "model.kernel_size=9"), 8, 9),
+        (("ablate", "--variants", "align:none,full", "--set", "data.length=2"), 2, 3)],
+        ids=["train", "train-wide-kernel", "ablate"])
+    def test_recording_shorter_than_the_kernel_is_data_error_before_any_file(
+            self, tmp_path, capsys, argv, length, kernel):
+        out = tmp_path / "r"
+        assert run_cli(*argv, "--out", str(out), "--epochs", "1", "--quiet",
+                       "--set", "data.subjects_per_class=3") == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"subject \S+ has {length} time points, "
+                         rf"fewer than kernel_size={kernel}", err), err
+        assert not out.exists()
+
+    def test_evaluate_on_recordings_shorter_than_the_kernel_is_data_error(self, tmp_path,
+                                                                          capsys):
+        run, data = tmp_path / "r", tmp_path / "d"
+        small = ["--quiet", "--set", "data.subjects_per_class=3"]
+        assert run_cli("train", "--out", str(run), "--epochs", "1", *small,
+                       "--set", "data.length=16", "--set", "model.kernel_size=9") == 0
+        assert run_cli("generate-data", "--out", str(data), *small,
+                       "--set", "data.length=8") == 0
+        assert run_cli("evaluate", "--run", str(run), "--data", str(data / "manifest.json"),
+                       "--quiet") == 2
+        assert re.search(r"subject \S+ has 8 time points, fewer than kernel_size=9",
+                         capsys.readouterr().err)
+
+    def test_short_recordings_train_without_the_brain_path(self, tmp_path):
+        out = tmp_path / "r"
+        assert run_cli("train", "--variant", "align:none", "--out", str(out), "--epochs", "1",
+                       "--quiet", "--set", "data.subjects_per_class=3",
+                       "--set", "data.length=2") == 0
+        assert (out / "metrics.json").exists()
 
     @pytest.mark.parametrize("argv", [("train", "--lr", "nan"),
                                       ("train", "--set", "train.beta1=NaN"),

@@ -53,6 +53,15 @@ class TestLoadRoiCsv:
         with pytest.raises(ParseError, match="line 4"):
             D.load_roi_csv(path)
 
+    def test_error_after_a_blank_line_names_the_files_line(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("roi_0,roi_1\n1,2\n\n3,x\n4,5\n")
+        with pytest.raises(ParseError, match="^line 4:"):
+            D.load_roi_csv(path)
+        path.write_text("\n\na,b\n1,2\n")
+        with pytest.raises(ParseError, match="^line 3:"):
+            D.load_roi_csv(path)
+
     def test_hash_inside_a_field_is_parse_error(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("roi_0,roi_1\n1,2\n3,4#5\n6,7\n")

@@ -10,10 +10,10 @@ import pytest
 from dynssm import tensor as tt
 from dynssm.checkpoint import load_params, save_params
 from dynssm.errors import ConfigError
-from dynssm.model import BrainSequenceClassifier, ModelConfig
+from dynssm.model import BrainSequenceClassifier, ModelConfig, variant_config
 from dynssm.rng import CounterRng
 from dynssm.tensor import Tensor
-from dynssm.training import Adam, cross_entropy
+from dynssm.training import VARIANTS, Adam, cross_entropy
 
 
 def param_copies(model) -> dict:
@@ -204,6 +204,39 @@ class TestParamReport:
         report = model.param_report()
         manual = sum(t.data.size for t in model.named_trainable().values())
         assert report["trainable"] == manual
+
+
+REGISTRY_CASES = ([("desk", v) for v in VARIANTS]
+                  + [("paper", v) for v in ("full", "frozen_llm", "align:meanpool")])
+
+
+def variant_model(width: str, variant: str) -> BrainSequenceClassifier:
+    base = ModelConfig.desk() if width == "desk" else ModelConfig()
+    return BrainSequenceClassifier(variant_config(base, variant))
+
+
+def saved_names(model, path) -> list:
+    model.save(path)
+    return list(load_params(path))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("width, variant", REGISTRY_CASES,
+                             ids=[f"{w}-{v}" for w, v in REGISTRY_CASES])
+    def test_trainable_is_the_registry_filtered_by_requires_grad(self, width, variant):
+        model = variant_model(width, variant)
+        trainable = model.named_trainable()
+        expected = [(n, t) for n, t in model.all_named_params().items() if t.requires_grad]
+        assert [(n, id(t)) for n, t in trainable.items()] == [(n, id(t)) for n, t in expected]
+
+    def test_frozen_llm_records_match_full(self, tmp_path):
+        assert (saved_names(variant_model("desk", "frozen_llm"), tmp_path / "f.dyns")
+                == saved_names(variant_model("desk", "full"), tmp_path / "a.dyns"))
+
+    def test_meanpool_records_are_full_without_queries(self, tmp_path):
+        full = saved_names(variant_model("desk", "full"), tmp_path / "a.dyns")
+        assert (saved_names(variant_model("desk", "align:meanpool"), tmp_path / "m.dyns")
+                == [n for n in full if n != "compress.queries"])
 
 
 class TestEveryParameterLearns:

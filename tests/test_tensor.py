@@ -172,10 +172,10 @@ class TestSoftmaxRows:
         a, b = Tensor(x, requires_grad=True), Tensor(x.T.copy(), requires_grad=True)
         with Tape() as tape:
             out_a = tt.softmax(a, axis=0)
-            ga = tape.backward(tt.tsum(out_a * Tensor(w)))[a]
+            ga = tape.backward(tt.tsum(out_a * Tensor(w)), [a])[a]
         with Tape() as tape:
             out_b = tt.softmax(b, axis=-1)
-            gb = tape.backward(tt.tsum(out_b * Tensor(w.T.copy())))[b]
+            gb = tape.backward(tt.tsum(out_b * Tensor(w.T.copy())), [b])[b]
         assert np.max(np.abs(out_a.data - out_b.data.T)) < 1e-15
         assert np.max(np.abs(ga - gb.T)) < 1e-15
 
@@ -209,7 +209,7 @@ def attention_out_and_grads(op, shapes, mask, seed, heads=1):
     w = Tensor(rng.normal(size=shapes[0][:-1] + shapes[2][-1:]))
     with Tape() as tape:
         out = op(*qkv, 1.0 / math.sqrt(shapes[0][-1] // heads), mask)
-        grads = tape.backward(tt.tsum(out * w))
+        grads = tape.backward(tt.tsum(out * w), qkv)
     return out.data, [grads[t] for t in qkv]
 
 
@@ -318,7 +318,7 @@ def assert_same_attention(op, reference, arrays, w):
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
             out = fn(*ts)
-            grads = tape.backward(tt.tsum(out * Tensor(w)))
+            grads = tape.backward(tt.tsum(out * Tensor(w)), ts)
         assert np.array_equal(untaped, out.data)
         results.append([out.data] + [grads[t] for t in ts])
     for got, want in zip(*results):
@@ -426,7 +426,7 @@ class TestRowStatistics:
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
             out = tt.attention(*ts[:3], 0.5, mask, heads=heads, q_map=ts[3] if d_q else None)
-            grads = tape.backward(tt.tsum(out * Tensor(w)))
+            grads = tape.backward(tt.tsum(out * Tensor(w)), ts)
         return [out.data] + [grads[t] for t in ts]
 
     @pytest.mark.parametrize("case", SMALL_CHUNK_CASES,
@@ -495,13 +495,13 @@ class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
         with Tape() as tape:
-            grads = tape.backward(tt.tsum(w))
+            grads = tape.backward(tt.tsum(w), [w])
         assert np.array_equal(grads[w], np.ones((3, 4)))
 
     def test_quadratic(self):
         w = Tensor([1.0, -2.0], requires_grad=True)
         with Tape() as tape:
-            grads = tape.backward(tt.tsum(tt.mul(w, w)))
+            grads = tape.backward(tt.tsum(tt.mul(w, w)), [w])
         assert np.array_equal(grads[w], [2.0, -4.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -509,7 +509,7 @@ class TestBackward:
         with Tape() as tape:
             out = tt.mul(w, w)
             with pytest.raises(ContractError):
-                tape.backward(out)
+                tape.backward(out, [w])
 
     def test_off_path_param_gets_zero(self):
         w = Tensor([1.0], requires_grad=True)
@@ -524,8 +524,8 @@ class TestBackward:
         v = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
         with Tape() as tape:
             loss = tt.tsum(tt.softmax(tt.matmul(w, v)))
-            g1 = tape.backward(loss)
-            g2 = tape.backward(loss)
+            g1 = tape.backward(loss, [w, v])
+            g2 = tape.backward(loss, [w, v])
         assert np.array_equal(g1[w], g2[w])
         assert np.array_equal(g1[v], g2[v])
 
@@ -549,13 +549,13 @@ class TestBackward:
             tt.tsum(tt.mul(w, w))
         for loss in (w, leaf, foreign):   # two leaves and another tape's output
             with pytest.raises(ContractError, match="not recorded on this tape"):
-                tape.backward(loss)
-        assert np.array_equal(other.backward(foreign)[w], [1.0])
+                tape.backward(loss, [w])
+        assert np.array_equal(other.backward(foreign, [w])[w], [1.0])
 
     def test_reused_tensor_accumulates(self):
         w = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            grads = tape.backward(tt.tsum(tt.add(tt.mul(w, w), w)))
+            grads = tape.backward(tt.tsum(tt.add(tt.mul(w, w), w)), [w])
         assert np.allclose(grads[w], [7.0])   # 2w + 1
 
     def test_one_tape_per_thread(self):
@@ -567,7 +567,7 @@ class TestBackward:
             w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
             for _ in range(20):
                 with Tape() as tape:
-                    grads = tape.backward(tt.tsum(tt.softmax(tt.matmul(w, w))))
+                    grads = tape.backward(tt.tsum(tt.softmax(tt.matmul(w, w))), [w])
                 results.setdefault(seed, []).append(grads[w].copy())
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
         for t in threads:
@@ -589,7 +589,7 @@ class TestBackward:
                 original = node.vjp
                 node.vjp = (lambda fn, ref: lambda g: calls.append(ref) or fn(g))(
                     original, node)
-            tape.backward(loss)
+            tape.backward(loss, [w])
         assert len(calls) == len(tape.nodes)
         assert len(set(map(id, calls))) == len(tape.nodes)
 
@@ -660,7 +660,7 @@ def scan_with_grads(a, b, g, chunk=None):
     at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
         out = tt.selective_scan(at, bt, chunk=chunk)
-        grads = tape.backward(tt.tsum(tt.mul(out, Tensor(g))))
+        grads = tape.backward(tt.tsum(tt.mul(out, Tensor(g))), [at, bt])
     return out.data, grads[at], grads[bt]
 
 
@@ -744,7 +744,7 @@ class TestSigmoidForms:
         assert tt.sigmoid(Tensor(grid)).data.tobytes() == ref
         x = Tensor(grid, requires_grad=True)
         with Tape() as tape:
-            grads = tape.backward(tt.tsum(tt.softplus(x)))
+            grads = tape.backward(tt.tsum(tt.softplus(x)), [x])
         assert grads[x].tobytes() == ref
 
 
@@ -801,7 +801,7 @@ class TestScaledSelfOuter:
         with Tape() as tape:
             gram = a + a.T
             out = tt.tsum(tt.mul(tt.scaled_self_outer(z, gram), w))
-            grads = tape.backward(out)
+            grads = tape.backward(out, [z, a])
         gd = a.data + a.data.T
         ref_z = np.einsum("tij,tjk->tik", w.data + w.data.transpose(0, 2, 1), z.data @ gd)
         ref_gram = np.einsum("tia,tij,tjb->ab", z.data, w.data, z.data)
